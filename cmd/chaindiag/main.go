@@ -15,13 +15,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"repro/internal/benchgen"
 	"repro/internal/chaindiag"
 	"repro/internal/circuit"
+	"repro/internal/cli"
 	"repro/internal/drc"
 	"repro/internal/pipeline"
 	"repro/internal/pipeline/diskstore"
@@ -29,20 +29,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
-
-// maxCacheMB rejects budgets no machine this tool targets could hold
-// (1 TiB): such values are typos, not configurations.
-const maxCacheMB = 1 << 20
-
-func validateCacheMB(mb int64) error {
-	if mb < 0 {
-		return fmt.Errorf("-cachemb must be non-negative, got %d", mb)
-	}
-	if mb > maxCacheMB {
-		return fmt.Errorf("-cachemb must be at most %d (1 TiB), got %d", int64(maxCacheMB), mb)
-	}
-	return nil
-}
 
 func main() {
 	var (
@@ -80,7 +66,7 @@ func main() {
 	if *timeout < 0 {
 		usageError(fmt.Errorf("-timeout must be non-negative, got %v", *timeout))
 	}
-	if err := validateCacheMB(*cacheMB); err != nil {
+	if err := cli.ValidateCacheMB(*cacheMB); err != nil {
 		usageError(err)
 	}
 	if *cacheDir != "" {
@@ -108,7 +94,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	defer writeMemProfile(*memprofile)
+	defer cli.WriteMemProfile("chaindiag", *memprofile)
 
 	p, ok := benchgen.ProfileByName(*name)
 	if !ok {
@@ -118,8 +104,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *drcCheck {
-		reportDRC(c.Name, drc.Check(c))
+	if *drcCheck && !cli.ReportDRC("chaindiag", 9, c.Name, drc.Check(c)) {
+		os.Exit(2)
 	}
 	if !*healthy && !*sweep && *position >= c.NumDFFs() {
 		usageError(fmt.Errorf("-position %d outside the %d-cell chain of %s", *position, c.NumDFFs(), *name))
@@ -280,39 +266,6 @@ func runShardedSweep(ctx context.Context, c *circuit.Circuit, name string, order
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "chaindiag:", err)
 	os.Exit(1)
-}
-
-// reportDRC prints the design-rule verdict. On violations it lists every
-// hit and exits with status 2: a rule-breaking netlist cannot support a
-// trustworthy shift-path diagnosis.
-func reportDRC(name string, vs []drc.Violation) {
-	if len(vs) == 0 {
-		fmt.Printf("drc:     %s clean\n", name)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "chaindiag: drc: %s: %d violation(s)\n", name, len(vs))
-	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "  %s\n", v)
-	}
-	os.Exit(2)
-}
-
-// writeMemProfile snapshots the heap after a GC so the profile reflects
-// retained memory, not transient garbage. A no-op for an empty path.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaindiag:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "chaindiag:", err)
-	}
 }
 
 // usageError reports a bad flag combination: the error, then the flag

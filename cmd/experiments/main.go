@@ -18,12 +18,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
@@ -93,7 +93,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	defer writeMemProfile(*memprofile)
+	defer cli.WriteMemProfile("experiments", *memprofile)
 
 	// The run is cancellable two ways: a -timeout deadline and Ctrl-C.
 	// Either stops the fault sweeps at batch granularity, drains in-flight
@@ -132,7 +132,7 @@ func main() {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "experiments: %s interrupted (%v) after %v; %d experiment(s) completed before it\n",
 					name, err, time.Since(start).Round(time.Millisecond), completed)
-				writeMemProfile(*memprofile)
+				cli.WriteMemProfile("experiments", *memprofile)
 				os.Exit(0)
 			}
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
@@ -197,22 +197,4 @@ func main() {
 		rows, err := experiments.NoiseSweep(ctx, cfg)
 		return rows, experiments.FormatNoiseSweep(rows), err
 	})
-}
-
-// writeMemProfile snapshots the heap after a GC so the profile reflects
-// retained memory, not transient garbage. A no-op for an empty path.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-	}
 }

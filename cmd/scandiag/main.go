@@ -12,22 +12,20 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/benchgen"
 	"repro/internal/bist"
-	"repro/internal/circuit"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/drc"
 	"repro/internal/noise"
-	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/scan"
 	"repro/internal/shard"
@@ -94,7 +92,7 @@ func main() {
 	if *timeout < 0 {
 		usageError(fmt.Errorf("-timeout must be non-negative, got %v", *timeout))
 	}
-	if err := validateCacheMB(*cacheMB); err != nil {
+	if err := cli.ValidateCacheMB(*cacheMB); err != nil {
 		usageError(err)
 	}
 
@@ -108,16 +106,19 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	defer writeMemProfile(*memprofile)
+	defer cli.WriteMemProfile("scandiag", *memprofile)
 
-	c, err := loadCircuit(*benchPath, *name)
+	c, err := cli.LoadCircuit(*benchPath, *name)
+	if errors.Is(err, cli.ErrUnknownCircuit) {
+		err = fmt.Errorf("%w (try one of %v)", err, profileNames())
+	}
 	if err != nil {
 		fatal(err)
 	}
-	if *drcCheck {
-		reportDRC(c.Name, drc.Check(c))
+	if *drcCheck && !cli.ReportDRC("scandiag", 10, c.Name, drc.Check(c)) {
+		os.Exit(2)
 	}
-	scheme, err := schemeByName(*schemeName)
+	scheme, err := cli.SchemeByName(*schemeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -260,31 +261,6 @@ func main() {
 	}
 }
 
-// maxCacheMB rejects budgets no machine this tool targets could hold
-// (1 TiB): such values are typos, not configurations.
-const maxCacheMB = 1 << 20
-
-func validateCacheMB(mb int64) error {
-	if mb < 0 {
-		return fmt.Errorf("-cachemb must be non-negative, got %d", mb)
-	}
-	if mb > maxCacheMB {
-		return fmt.Errorf("-cachemb must be at most %d (1 TiB), got %d", int64(maxCacheMB), mb)
-	}
-	return nil
-}
-
-func loadCircuit(path, name string) (*circuit.Circuit, error) {
-	if path != "" {
-		return bench.ParseFile(path)
-	}
-	p, ok := benchgen.ProfileByName(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown built-in circuit %q (try one of %v)", name, profileNames())
-	}
-	return benchgen.Generate(p)
-}
-
 func profileNames() []string {
 	var names []string
 	for _, p := range benchgen.Profiles() {
@@ -293,56 +269,9 @@ func profileNames() []string {
 	return names
 }
 
-func schemeByName(name string) (partition.Scheme, error) {
-	switch name {
-	case "two-step":
-		return partition.TwoStep{}, nil
-	case "random", "random-selection":
-		return partition.RandomSelection{}, nil
-	case "interval":
-		return partition.Interval{}, nil
-	case "fixed", "fixed-interval":
-		return partition.FixedInterval{}, nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q", name)
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "scandiag:", err)
 	os.Exit(1)
-}
-
-// reportDRC prints the design-rule verdict. On violations it lists every
-// hit and exits with status 2: simulating a rule-breaking netlist would
-// produce corrupt signatures, not diagnoses.
-func reportDRC(name string, vs []drc.Violation) {
-	if len(vs) == 0 {
-		fmt.Printf("drc:      %s clean\n", name)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "scandiag: drc: %s: %d violation(s)\n", name, len(vs))
-	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "  %s\n", v)
-	}
-	os.Exit(2)
-}
-
-// writeMemProfile snapshots the heap after a GC so the profile reflects
-// retained memory, not transient garbage. A no-op for an empty path.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scandiag:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "scandiag:", err)
-	}
 }
 
 // usageError reports a bad flag combination: the error, then the flag

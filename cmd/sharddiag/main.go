@@ -23,11 +23,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/benchgen"
-	"repro/internal/circuit"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/retry"
 	"repro/internal/shard"
@@ -62,20 +59,6 @@ subcommands:
 run "sharddiag <subcommand> -h" for the subcommand's flags
 `)
 	os.Exit(2)
-}
-
-// maxCacheMB rejects budgets no machine this tool targets could hold
-// (1 TiB): such values are typos, not configurations.
-const maxCacheMB = 1 << 20
-
-func validateCacheMB(mb int64) error {
-	if mb < 0 {
-		return fmt.Errorf("-cachemb must be non-negative, got %d", mb)
-	}
-	if mb > maxCacheMB {
-		return fmt.Errorf("-cachemb must be at most %d (1 TiB), got %d", int64(maxCacheMB), mb)
-	}
-	return nil
 }
 
 func fatal(err error) {
@@ -118,7 +101,7 @@ func serve(args []string) {
 	if *workers < 0 {
 		usageError(fs, fmt.Errorf("-workers must be non-negative, got %d", *workers))
 	}
-	if err := validateCacheMB(*cacheMB); err != nil {
+	if err := cli.ValidateCacheMB(*cacheMB); err != nil {
 		usageError(fs, err)
 	}
 
@@ -200,7 +183,7 @@ func coordinate(args []string) {
 	if *lanes < 0 || *lanes > sim.MaxBatchLanes {
 		usageError(fs, fmt.Errorf("-lanes %d out of range 0..%d", *lanes, sim.MaxBatchLanes))
 	}
-	scheme, err := schemeByName(*schemeName)
+	scheme, err := cli.SchemeByName(*schemeName)
 	if err != nil {
 		usageError(fs, err)
 	}
@@ -280,7 +263,7 @@ func coordinate(args []string) {
 		study, runErr = co.RunSOCCore(ctx, shard.SOCRef(*socPreset, s), faultyCore, opts, sample,
 			shard.StuckAtCosts(cc, sample), nil)
 	} else {
-		c, err := loadCircuit(*benchPath, *circuitName)
+		c, err := cli.LoadCircuit(*benchPath, *circuitName)
 		if err != nil {
 			fatal(err)
 		}
@@ -312,29 +295,4 @@ func coordinate(args []string) {
 	if runErr != nil {
 		os.Exit(1)
 	}
-}
-
-func loadCircuit(path, name string) (*circuit.Circuit, error) {
-	if path != "" {
-		return bench.ParseFile(path)
-	}
-	p, ok := benchgen.ProfileByName(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown built-in circuit %q", name)
-	}
-	return benchgen.Generate(p)
-}
-
-func schemeByName(name string) (partition.Scheme, error) {
-	switch name {
-	case "two-step":
-		return partition.TwoStep{}, nil
-	case "random", "random-selection":
-		return partition.RandomSelection{}, nil
-	case "interval":
-		return partition.Interval{}, nil
-	case "fixed", "fixed-interval":
-		return partition.FixedInterval{}, nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q", name)
 }

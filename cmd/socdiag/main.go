@@ -15,13 +15,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/drc"
-	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -77,7 +76,7 @@ func main() {
 	if *timeout < 0 {
 		usageError(fmt.Errorf("-timeout must be non-negative, got %v", *timeout))
 	}
-	if err := validateCacheMB(*cacheMB); err != nil {
+	if err := cli.ValidateCacheMB(*cacheMB); err != nil {
 		usageError(err)
 	}
 
@@ -91,7 +90,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	defer writeMemProfile(*memprofile)
+	defer cli.WriteMemProfile("socdiag", *memprofile)
 
 	presetName := *preset
 	if presetName == "" {
@@ -134,12 +133,12 @@ func main() {
 		}
 		faultyCore = i
 	}
-	scheme, err := schemeByName(*schemeName)
+	scheme, err := cli.SchemeByName(*schemeName)
 	if err != nil {
 		fatal(err)
 	}
-	if *drcCheck {
-		reportDRC(s.Name, drc.CheckSOC(s, *chains))
+	if *drcCheck && !cli.ReportDRC("socdiag", 10, s.Name, drc.CheckSOC(s, *chains)) {
+		os.Exit(2)
 	}
 
 	opts := core.Options{
@@ -233,70 +232,9 @@ func main() {
 	}
 }
 
-// maxCacheMB rejects budgets no machine this tool targets could hold
-// (1 TiB): such values are typos, not configurations.
-const maxCacheMB = 1 << 20
-
-func validateCacheMB(mb int64) error {
-	if mb < 0 {
-		return fmt.Errorf("-cachemb must be non-negative, got %d", mb)
-	}
-	if mb > maxCacheMB {
-		return fmt.Errorf("-cachemb must be at most %d (1 TiB), got %d", int64(maxCacheMB), mb)
-	}
-	return nil
-}
-
-func schemeByName(name string) (partition.Scheme, error) {
-	switch name {
-	case "two-step":
-		return partition.TwoStep{}, nil
-	case "random", "random-selection":
-		return partition.RandomSelection{}, nil
-	case "interval":
-		return partition.Interval{}, nil
-	case "fixed", "fixed-interval":
-		return partition.FixedInterval{}, nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q", name)
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "socdiag:", err)
 	os.Exit(1)
-}
-
-// reportDRC prints the design-rule verdict. On violations it lists every
-// hit and exits with status 2: simulating a rule-breaking SOC would
-// produce corrupt signatures, not diagnoses.
-func reportDRC(name string, vs []drc.Violation) {
-	if len(vs) == 0 {
-		fmt.Printf("drc:      %s clean\n", name)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "socdiag: drc: %s: %d violation(s)\n", name, len(vs))
-	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "  %s\n", v)
-	}
-	os.Exit(2)
-}
-
-// writeMemProfile snapshots the heap after a GC so the profile reflects
-// retained memory, not transient garbage. A no-op for an empty path.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "socdiag:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "socdiag:", err)
-	}
 }
 
 // usageError reports a bad flag combination: the error, then the flag

@@ -67,33 +67,7 @@ func (b *CircuitBench) RunContext(ctx context.Context, faults []sim.Fault) (*Stu
 // RunObservedContext is RunContext with RunObserved's per-fault callback;
 // observe sees exactly the faults the study aggregates, in fault order.
 func (b *CircuitBench) RunObservedContext(ctx context.Context, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
-	study := newStudy(b.Opts, b.Opts.Scheme.Name())
-	results := make([]*FaultDiagnosis, len(faults))
-	release := b.Opts.Cache.PinCircuit(b.art)
-	defer release()
-	plan := b.Opts.Cache.Plan(b.Circuit, faults, sweepOptions(ctx, b.Opts))
-	stampPlan(study, plan)
-	err := pipeline.Executor{Workers: b.Opts.Workers, Retry: b.Opts.Retry.Policy()}.RunBatchesContext(ctx, len(plan.Batches), func() func(int) error {
-		fs := b.fs.Fork()
-		bs := fs.NewBatchScratch(plan)
-		sc := fs.NewScratch()
-		w := newDiagWorker(b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks)
-		return func(pi int) error {
-			cb := plan.Batches[pi]
-			lane := -1
-			defer annotatePanic(&lane, cb, b.Circuit)
-			if err := fs.RunBatchContext(ctx, cb, bs); err != nil {
-				return err
-			}
-			for k, i := range cb.Index {
-				lane = k
-				res := fs.MaterializeBatch(bs, k, sc)
-				results[i] = w.diagnose(res.Fault, res.FailingCells, res.Detected(), res.Faulty)
-			}
-			return nil
-		}
-	})
-	return finishStudy(study, results, observe), err
+	return b.dev.RunCoreObservedContext(ctx, 0, faults, observe)
 }
 
 // RunCoreContext is RunCore with cancellation; semantics mirror
@@ -160,9 +134,7 @@ func annotatePanic(lane *int, cb *sim.CompiledBatch, c *circuit.Circuit) {
 // tester; with a noise model configured the full noisy flow runs if the
 // context is still alive at entry.
 func (b *CircuitBench) DiagnoseFaultContext(ctx context.Context, f sim.Fault) (*FaultDiagnosis, error) {
-	res := b.fs.Run(f)
-	return diagnosePartial(ctx, b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks,
-		&FaultDiagnosis{Fault: res.Fault, Actual: res.FailingCells, Detected: res.Detected()}, res.Faulty)
+	return b.dev.DiagnoseFaultContext(ctx, 0, f)
 }
 
 // DiagnoseFaultContext mirrors CircuitBench.DiagnoseFaultContext for a
@@ -173,8 +145,8 @@ func (b *SOCBench) DiagnoseFaultContext(ctx context.Context, core int, f sim.Fau
 		&FaultDiagnosis{Fault: res.Fault, Actual: res.FailingCells, Detected: res.Detected()}, res.Faulty)
 }
 
-// diagnosePartial is diagnoseFault's deadline-aware twin, shared by the
-// circuit- and SOC-level DiagnoseFaultContext.
+// diagnosePartial is diagnoseFault's deadline-aware twin, behind
+// DiagnoseFaultContext.
 func diagnosePartial(ctx context.Context, o Options, eng *bist.Engine, diag *diagnosis.Diagnoser, good []*sim.Response, blocks []*sim.Block, fd *FaultDiagnosis, faulty []*sim.Response) (*FaultDiagnosis, error) {
 	fd.Completeness = diagnosis.Completeness{Observed: o.Partitions, Scheduled: o.Partitions}
 	if !fd.Detected {

@@ -308,13 +308,14 @@ func (s *Study) PartitionsToReachDR(target float64) int {
 
 // CircuitBench couples one full-scan circuit with its build artifacts
 // (patterns, fault-free responses, engine, diagnoser) for repeated fault
-// studies.
+// studies. The circuit runs as the one-core SOC of soc.OfCircuit, so
+// every method delegates to the SOC bench's build, sweep and single-fault
+// paths with core 0.
 type CircuitBench struct {
 	Circuit *circuit.Circuit
 	Opts    Options
 
-	art *pipeline.CircuitArtifacts
-	fs  *sim.FaultSim // per-bench fork of the (possibly shared) simulator
+	dev *SOCBench // the circuit as a one-core SOC
 }
 
 // NewCircuitBench prepares the BIST environment for a circuit: generates
@@ -323,67 +324,51 @@ type CircuitBench struct {
 // benches sharing a content key borrow one artifact set instead of
 // rebuilding it.
 func NewCircuitBench(c *circuit.Circuit, opts Options) (*CircuitBench, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if opts.StrictDRC {
-		if err := drc.Error(c.Name, drc.Check(c)); err != nil {
-			return nil, err
+	dev, err := newDevice(soc.OfCircuit(c), opts, func(o Options) error {
+		if o.StrictDRC {
+			return drc.Error(c.Name, drc.Check(c))
 		}
-	}
-	if err := opts.attachTiers(); err != nil {
-		return nil, err
-	}
-	art, err := opts.Cache.Circuit(c, opts.spec())
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &CircuitBench{Circuit: c, Opts: opts, art: art, fs: art.Sim.Fork()}, nil
+	return &CircuitBench{Circuit: c, Opts: dev.Opts, dev: dev}, nil
 }
 
 // Engine exposes the underlying BIST engine (partitions, signatures).
-func (b *CircuitBench) Engine() *bist.Engine { return b.art.Engine }
+func (b *CircuitBench) Engine() *bist.Engine { return b.dev.Engine() }
 
 // Artifacts exposes the bench's immutable build artifacts (shared with
 // other benches when Opts.Cache deduplicated the build).
-func (b *CircuitBench) Artifacts() *pipeline.CircuitArtifacts { return b.art }
+func (b *CircuitBench) Artifacts() *pipeline.CircuitArtifacts { return b.dev.art.Circuit() }
 
 // GoldenSignatures returns the precomputed fault-free signature per
 // (partition, verdict slot) — the tester-side storage.
-func (b *CircuitBench) GoldenSignatures() [][]uint64 { return b.art.Golden }
+func (b *CircuitBench) GoldenSignatures() [][]uint64 { return b.dev.GoldenSignatures() }
 
 // Cost returns the plan's test-resource footprint.
-func (b *CircuitBench) Cost() bist.Cost { return b.art.Engine.Cost() }
+func (b *CircuitBench) Cost() bist.Cost { return b.dev.Cost() }
 
 // Faults returns the collapsed stuck-at fault list of the circuit.
-func (b *CircuitBench) Faults() []sim.Fault {
-	return sim.CollapseFaults(b.Circuit, sim.FullFaultList(b.Circuit))
-}
+func (b *CircuitBench) Faults() []sim.Fault { return b.dev.CoreFaults(0) }
 
 // DiagnoseFault runs the complete flow for one fault on the reference
 // (unpooled) path; Run uses the pooled batch path with identical results.
-func (b *CircuitBench) DiagnoseFault(f sim.Fault) *FaultDiagnosis {
-	return b.diagnose(b.fs.Run(f))
-}
+func (b *CircuitBench) DiagnoseFault(f sim.Fault) *FaultDiagnosis { return b.dev.DiagnoseFault(0, f) }
 
 // DiagnoseMulti runs the flow for several simultaneous faults — the
 // paper's multiple-fault scenario, where fault cones produce disjoint or
 // overlapping failing segments (Figure 2). The FaultDiagnosis carries the
 // first fault.
 func (b *CircuitBench) DiagnoseMulti(faults []sim.Fault) *FaultDiagnosis {
-	return b.diagnose(b.fs.RunMulti(faults))
-}
-
-func (b *CircuitBench) diagnose(res *sim.Result) *FaultDiagnosis {
-	fd := &FaultDiagnosis{Fault: res.Fault, Actual: res.FailingCells, Detected: res.Detected()}
-	diagnoseFault(b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks, res.Faulty, fd)
-	return fd
+	res := b.dev.fs.CoreSims()[0].RunMulti(faults)
+	return b.dev.diagnose(res.Fault, res.FailingCells, res.Faulty)
 }
 
 // diagnoseFault derives session verdicts — deterministic for a perfect
 // tester, tri-state with retries and voting under noise — and fills in the
-// candidate sets. Shared by the circuit- and SOC-level benches. This is
+// candidate sets for the single-fault path (SOCBench.diagnose). This is
 // the reference implementation the pooled worker path must match
 // bit-for-bit; it allocates per call and is kept for single-fault APIs and
 // equivalence tests.
@@ -501,17 +486,27 @@ type SOCBench struct {
 // NewSOCBench prepares the BIST environment over the SOC's meta chains
 // (Opts.Chains selects the TAM width; 1 is the single meta chain).
 func NewSOCBench(s *soc.SOC, opts Options) (*SOCBench, error) {
+	return newDevice(s, opts, func(o Options) error {
+		if o.ScanOrder != nil {
+			return fmt.Errorf("core: custom scan order is not supported at SOC level; the TestRail fixes daisy order")
+		}
+		if o.StrictDRC {
+			return drc.Error(s.Name, drc.CheckSOC(s, o.Chains))
+		}
+		return nil
+	})
+}
+
+// newDevice builds the bench both constructors share: options are
+// defaulted and validated, check runs the caller's device rules before
+// any artifact is built, and the artifacts come from Opts.Cache.
+func newDevice(s *soc.SOC, opts Options, check func(Options) error) (*SOCBench, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts.ScanOrder != nil {
-		return nil, fmt.Errorf("core: custom scan order is not supported at SOC level; the TestRail fixes daisy order")
-	}
-	if opts.StrictDRC {
-		if err := drc.Error(s.Name, drc.CheckSOC(s, opts.Chains)); err != nil {
-			return nil, err
-		}
+	if err := check(opts); err != nil {
+		return nil, err
 	}
 	if err := opts.attachTiers(); err != nil {
 		return nil, err
@@ -542,19 +537,23 @@ func (b *SOCBench) CoreFaults(i int) []sim.Fault { return b.fs.CoreFaults(i) }
 // DiagnoseFault runs the flow for a fault injected into one core on the
 // reference (unpooled) path.
 func (b *SOCBench) DiagnoseFault(core int, f sim.Fault) *FaultDiagnosis {
-	return b.diagnose(b.fs.Run(core, f))
+	res := b.fs.Run(core, f)
+	return b.diagnose(res.Fault, res.FailingCells, res.Faulty)
 }
 
 // DiagnoseMultiCore runs the flow with one fault in each of several cores
 // simultaneously — multiple spot defects, each contributing a clustered
 // failing segment to the meta chain.
 func (b *SOCBench) DiagnoseMultiCore(coreFaults map[int]sim.Fault) *FaultDiagnosis {
-	return b.diagnose(b.fs.RunMulti(coreFaults))
+	res := b.fs.RunMulti(coreFaults)
+	return b.diagnose(res.Fault, res.FailingCells, res.Faulty)
 }
 
-func (b *SOCBench) diagnose(res *soc.Result) *FaultDiagnosis {
-	fd := &FaultDiagnosis{Fault: res.Fault, Actual: res.FailingCells, Detected: res.Detected()}
-	diagnoseFault(b.Opts, b.art.Engine, b.art.Diag, b.fs.Good(), b.fs.Blocks(), res.Faulty, fd)
+// diagnose is the single-fault path: the verdicts and candidate sets of
+// one simulated (possibly multi-fault) defect.
+func (b *SOCBench) diagnose(f sim.Fault, actual *bitset.Set, faulty []*sim.Response) *FaultDiagnosis {
+	fd := &FaultDiagnosis{Fault: f, Actual: actual, Detected: !actual.Empty()}
+	diagnoseFault(b.Opts, b.art.Engine, b.art.Diag, b.fs.Good(), b.fs.Blocks(), faulty, fd)
 	return fd
 }
 

@@ -12,33 +12,20 @@ import (
 	"repro/internal/soc"
 )
 
-// simArtifacts is the simulation layer of a circuit build: pattern blocks,
-// the fault-free machine, and its responses. It is independent of scan
-// configuration and partitioning, so every scheme swept over one circuit
-// shares it. The FaultSim inside carries the event-driven engine's shared
-// read-only state — per-block fault-free internal net values and the
-// circuit's memoized fault-site cones — so those are also built once per
-// cache entry and amortized across every borrowing bench and worker fork.
-type simArtifacts struct {
-	blocks []*sim.Block
-	fs     *sim.FaultSim
-	good   []*sim.Response
-}
-
-// CircuitArtifacts is the immutable build product of one (circuit, spec)
-// pair: everything a diagnosis run needs that does not depend on the
-// fault. Treat every field as read-only; concurrent fault loops must Fork
-// the FaultSim for per-goroutine scratch (forks share the cached
-// fault-free values and cone tables, and each gets its own event
-// worklist).
-type CircuitArtifacts struct {
-	Circuit *circuit.Circuit
-	Spec    Spec // normalized
-	Blocks  []*sim.Block
-	Sim     *sim.FaultSim
-	Good    []*sim.Response
-	Engine  *bist.Engine
-	Diag    *diagnosis.Diagnoser
+// SOCArtifacts is the immutable build product of one (device, spec) pair:
+// everything a diagnosis run needs that does not depend on the fault. The
+// device is an SOC; a plain full-scan circuit is the one-core SOC of
+// soc.OfCircuit. Sim is the simulation layer — per-core pattern blocks,
+// fault-free responses and the event-driven engine's shared read-only
+// state — shared by every scheme and TAM width swept over the device.
+// Treat every field as read-only; concurrent fault loops must Fork the
+// FaultSim for per-goroutine scratch.
+type SOCArtifacts struct {
+	SOC    *soc.SOC
+	Spec   Spec // normalized
+	Sim    *soc.FaultSim
+	Engine *bist.Engine
+	Diag   *diagnosis.Diagnoser
 	// Golden holds the fault-free signature per (partition, verdict slot)
 	// — the values a deployment stores on the tester.
 	Golden [][]uint64
@@ -48,24 +35,31 @@ type CircuitArtifacts struct {
 	// the entries without re-deriving the fingerprint.
 	cacheKey    string
 	simCacheKey string
+	// circuit is the core-0 view of a one-core artifact set (nil for
+	// larger SOCs), created once so every lookup returns the same view.
+	circuit *CircuitArtifacts
 }
 
-// SOCArtifacts is the SOC-level counterpart: the SOC-scope fault simulator
-// over per-core pattern blocks, plus engine, diagnoser, and golden
-// signatures over the meta scan chains.
-type SOCArtifacts struct {
-	SOC    *soc.SOC
-	Spec   Spec // normalized
-	Sim    *soc.FaultSim
-	Engine *bist.Engine
-	Diag   *diagnosis.Diagnoser
-	Golden [][]uint64
+// CircuitArtifacts is the core-0 view of a one-core SOC artifact set: the
+// same engine, diagnoser and golden signatures, with the core's own
+// fault simulator, pattern blocks and fault-free responses, which for one
+// core are the global ones.
+type CircuitArtifacts struct {
+	Circuit *circuit.Circuit
+	Spec    Spec // normalized
+	Blocks  []*sim.Block
+	Sim     *sim.FaultSim
+	Good    []*sim.Response
+	Engine  *bist.Engine
+	Diag    *diagnosis.Diagnoser
+	Golden  [][]uint64
 
-	// cacheKey/simCacheKey mirror CircuitArtifacts: the content keys Pin
-	// uses to find the cached entries (empty when built uncached).
-	cacheKey    string
-	simCacheKey string
+	soc *SOCArtifacts // the artifact set this view belongs to
 }
+
+// Circuit returns the core-0 view of a one-core artifact set, or nil when
+// the SOC has several cores.
+func (a *SOCArtifacts) Circuit() *CircuitArtifacts { return a.circuit }
 
 func (s Spec) plan() bist.Plan {
 	return bist.Plan{
@@ -77,6 +71,10 @@ func (s Spec) plan() bist.Plan {
 	}
 }
 
+// scanConfig chains numCells cells in the spec's order (natural when
+// unset). The natural order is the TestRail's daisy order, so for an SOC
+// one chain is the single meta chain and several are balanced meta
+// chains.
 func (s Spec) scanConfig(numCells int) (scan.Config, error) {
 	order := s.ScanOrder
 	if order == nil {
@@ -91,54 +89,9 @@ func (s Spec) scanConfig(numCells int) (scan.Config, error) {
 	return scan.SplitContiguous(order, s.Chains)
 }
 
-func buildSim(c *circuit.Circuit, s Spec) (*simArtifacts, error) {
-	if s.Patterns < 1 {
-		return nil, fmt.Errorf("pipeline: pattern count %d < 1", s.Patterns)
-	}
-	prpg, err := lfsr.New(s.PRPGPoly, s.PRPGSeed)
-	if err != nil {
-		return nil, err
-	}
-	blocks := bist.GenerateBlocks(prpg, c.NumInputs(), c.NumDFFs(), s.Patterns)
-	sa := &simArtifacts{blocks: blocks, fs: sim.NewFaultSim(c, blocks)}
-	for i := range blocks {
-		sa.good = append(sa.good, sa.fs.Good(i))
-	}
-	return sa, nil
-}
-
-func buildCircuit(c *circuit.Circuit, s Spec, sa *simArtifacts) (*CircuitArtifacts, error) {
-	cfg, err := s.scanConfig(c.NumDFFs())
-	if err != nil {
-		return nil, err
-	}
-	eng, err := bist.NewEngine(cfg, s.plan(), s.Patterns)
-	if err != nil {
-		return nil, err
-	}
-	diag, err := diagnosis.FromEngine(eng)
-	if err != nil {
-		return nil, err
-	}
-	return &CircuitArtifacts{
-		Circuit: c,
-		Spec:    s,
-		Blocks:  sa.blocks,
-		Sim:     sa.fs,
-		Good:    sa.good,
-		Engine:  eng,
-		Diag:    diag,
-		Golden:  eng.GoldenSignatures(sa.good, sa.blocks),
-	}, nil
-}
-
-// socSimArtifacts is the SOC simulation layer: per-core patterns expanded
-// from the shared PRPG and the fault-free responses of every core.
-type socSimArtifacts struct {
-	fs *soc.FaultSim
-}
-
-func buildSOCSim(s *soc.SOC, spec Spec) (*socSimArtifacts, error) {
+// buildSOCSim expands the shared PRPG into per-core patterns and
+// simulates every core's fault-free machine.
+func buildSOCSim(s *soc.SOC, spec Spec) (*soc.FaultSim, error) {
 	if spec.Patterns < 1 {
 		return nil, fmt.Errorf("pipeline: pattern count %d < 1", spec.Patterns)
 	}
@@ -146,26 +99,13 @@ func buildSOCSim(s *soc.SOC, spec Spec) (*socSimArtifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := soc.NewFaultSim(s, s.GeneratePatterns(prpg, spec.Patterns))
-	if err != nil {
-		return nil, err
-	}
-	return &socSimArtifacts{fs: fs}, nil
+	return soc.NewFaultSim(s, s.GeneratePatterns(prpg, spec.Patterns))
 }
 
-func buildSOC(s *soc.SOC, spec Spec, sa *socSimArtifacts) (*SOCArtifacts, error) {
-	if spec.ScanOrder != nil {
-		return nil, fmt.Errorf("pipeline: custom scan order is not supported at SOC level; the TestRail fixes daisy order")
-	}
-	var cfg scan.Config
-	if spec.Chains == 1 {
-		cfg = s.SingleMetaChain()
-	} else {
-		var err error
-		cfg, err = s.MetaChains(spec.Chains)
-		if err != nil {
-			return nil, err
-		}
+func buildSOC(s *soc.SOC, spec Spec, fs *soc.FaultSim) (*SOCArtifacts, error) {
+	cfg, err := spec.scanConfig(s.NumCells())
+	if err != nil {
+		return nil, err
 	}
 	eng, err := bist.NewEngine(cfg, spec.plan(), spec.Patterns)
 	if err != nil {
@@ -175,12 +115,27 @@ func buildSOC(s *soc.SOC, spec Spec, sa *socSimArtifacts) (*SOCArtifacts, error)
 	if err != nil {
 		return nil, err
 	}
-	return &SOCArtifacts{
+	a := &SOCArtifacts{
 		SOC:    s,
 		Spec:   spec,
-		Sim:    sa.fs,
+		Sim:    fs,
 		Engine: eng,
 		Diag:   diag,
-		Golden: eng.GoldenSignatures(sa.fs.Good(), sa.fs.Blocks()),
-	}, nil
+		Golden: eng.GoldenSignatures(fs.Good(), fs.Blocks()),
+	}
+	if s.NumCores() == 1 {
+		core := fs.CoreSims()[0]
+		a.circuit = &CircuitArtifacts{
+			Circuit: s.Cores[0].Circuit,
+			Spec:    spec,
+			Blocks:  core.Blocks(),
+			Sim:     core,
+			Good:    fs.Good(),
+			Engine:  eng,
+			Diag:    diag,
+			Golden:  a.Golden,
+			soc:     a,
+		}
+	}
+	return a, nil
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // Stats counts cache traffic. Hits/Misses track full artifact lookups
-// (circuit and SOC); SimHits/SimMisses track the inner simulation layer,
-// where a hit means the fault-free machine was not re-simulated even
-// though the plan or scan configuration changed. Evictions/EvictedBytes
+// (a circuit lookup is a one-core SOC lookup); SimHits/SimMisses track
+// the inner simulation layer, where a hit means the fault-free machine
+// was not re-simulated even though the plan or scan configuration
+// changed. Evictions/EvictedBytes
 // count entries discarded to stay within the configured Budget (always
 // zero for an unbounded cache).
 type Stats struct {
@@ -61,9 +62,7 @@ func (b Budget) bounded() bool { return b.MaxBytes > 0 || b.MaxEntries > 0 }
 // Entry kinds, one per internal map, so an LRU node knows which map to
 // delete itself from.
 const (
-	kindSim = iota
-	kindCirc
-	kindSOCSim
+	kindSOCSim = iota
 	kindSOC
 	kindPlan
 )
@@ -109,9 +108,7 @@ type entry[T any] struct {
 type ArtifactCache struct {
 	mu      sync.Mutex
 	budget  Budget
-	sims    map[string]*entry[*simArtifacts]
-	circs   map[string]*entry[*CircuitArtifacts]
-	socSims map[string]*entry[*socSimArtifacts]
+	socSims map[string]*entry[*soc.FaultSim]
 	socs    map[string]*entry[*SOCArtifacts]
 	plans   map[string]*entry[*sim.BatchPlan]
 	lru     *list.List // of *node
@@ -252,10 +249,6 @@ func (c *ArtifactCache) evictLocked() {
 // account.
 func (c *ArtifactCache) removeLocked(n *node) {
 	switch n.kind {
-	case kindSim:
-		delete(c.sims, n.key)
-	case kindCirc:
-		delete(c.circs, n.key)
 	case kindSOCSim:
 		delete(c.socSims, n.key)
 	case kindSOC:
@@ -279,14 +272,6 @@ func (c *ArtifactCache) pin(kind int, key string) *node {
 	defer c.mu.Unlock()
 	var n *node
 	switch kind {
-	case kindSim:
-		if e, ok := c.sims[key]; ok {
-			n = e.node
-		}
-	case kindCirc:
-		if e, ok := c.circs[key]; ok {
-			n = e.node
-		}
 	case kindSOCSim:
 		if e, ok := c.socSims[key]; ok {
 			n = e.node
@@ -315,17 +300,6 @@ func (c *ArtifactCache) release(nodes []*node) {
 	c.evictLocked()
 }
 
-// pinKeys pins both layers of an artifact and returns the idempotent
-// release closure shared by PinCircuit and PinSOC.
-func (c *ArtifactCache) pinKeys(fullKind int, fullKey string, simKind int, simKey string) func() {
-	if c == nil || (fullKey == "" && simKey == "") {
-		return func() {}
-	}
-	nodes := []*node{c.pin(fullKind, fullKey), c.pin(simKind, simKey)}
-	var once sync.Once
-	return func() { once.Do(func() { c.release(nodes) }) }
-}
-
 // PinCircuit marks a's cache entries (full and simulation layer) as in
 // use, excluding them from eviction until the returned release function
 // is called. Pinning is advisory — it keeps entries resident so
@@ -337,43 +311,27 @@ func (c *ArtifactCache) PinCircuit(a *CircuitArtifacts) func() {
 	if a == nil {
 		return func() {}
 	}
-	return c.pinKeys(kindCirc, a.cacheKey, kindSim, a.simCacheKey)
+	return c.PinSOC(a.soc)
 }
 
 // PinSOC is PinCircuit for SOC artifacts.
 func (c *ArtifactCache) PinSOC(a *SOCArtifacts) func() {
-	if a == nil {
+	if c == nil || a == nil || a.cacheKey == "" {
 		return func() {}
 	}
-	return c.pinKeys(kindSOC, a.cacheKey, kindSOCSim, a.simCacheKey)
+	nodes := []*node{c.pin(kindSOC, a.cacheKey), c.pin(kindSOCSim, a.simCacheKey)}
+	var once sync.Once
+	return func() { once.Do(func() { c.release(nodes) }) }
 }
 
-// cost estimators; see MemoryFootprint on sim.FaultSim, soc.FaultSim and
-// bist.Engine. The full layer charges only what it adds on top of the
-// simulation layer it references (engine tables, golden signatures).
-func (sa *simArtifacts) cost() int64 {
-	if sa == nil {
+// cost estimators; see MemoryFootprint on soc.FaultSim and bist.Engine.
+// The full layer charges only what it adds on top of the simulation layer
+// it references (engine tables, golden signatures).
+func simCost(fs *soc.FaultSim) int64 {
+	if fs == nil {
 		return errCost
 	}
-	return sa.fs.MemoryFootprint()
-}
-
-func (a *CircuitArtifacts) cost() int64 {
-	if a == nil {
-		return errCost
-	}
-	n := a.Engine.MemoryFootprint()
-	for _, row := range a.Golden {
-		n += int64(len(row)) * 8
-	}
-	return n
-}
-
-func (sa *socSimArtifacts) cost() int64 {
-	if sa == nil {
-		return errCost
-	}
-	return sa.fs.MemoryFootprint()
+	return fs.MemoryFootprint()
 }
 
 func (a *SOCArtifacts) cost() int64 {
@@ -387,62 +345,40 @@ func (a *SOCArtifacts) cost() int64 {
 	return n
 }
 
-// Circuit returns the artifacts for (ct, spec), building at most once per
-// content key. The simulation layer is cached separately, so a new scheme
-// or scan configuration over an already-simulated circuit rebuilds only
-// partitions and signatures.
+// Circuit returns the artifacts for (ct, spec): the one-core view of the
+// SOC artifact set of soc.OfCircuit(ct), so a circuit shares the SOC
+// build, warm-start and pinning path. A hit returns the same view, and
+// the simulation layer is shared across schemes.
 func (c *ArtifactCache) Circuit(ct *circuit.Circuit, spec Spec) (*CircuitArtifacts, error) {
-	spec = spec.Normalized()
-	if c == nil {
-		sa, err := buildSim(ct, spec)
-		if err != nil {
-			return nil, err
-		}
-		return buildCircuit(ct, spec, sa)
+	a, err := c.SOC(soc.OfCircuit(ct), spec)
+	if err != nil {
+		return nil, err
 	}
-	fp := c.fingerprint(ct)
-	key, simKey := spec.Key(fp), spec.simKey(fp)
-	e := lookup(c, &c.circs, kindCirc, key, &c.stats.Hits, &c.stats.Misses)
-	e.once.Do(func() {
-		se := lookup(c, &c.sims, kindSim, simKey, &c.stats.SimHits, &c.stats.SimMisses)
-		se.once.Do(func() {
-			se.val, se.err = c.fetchSim(ct, spec, simKey)
-			c.setCost(se.node, se.val.cost())
-		})
-		if se.err != nil {
-			e.err = se.err
-			c.setCost(e.node, errCost)
-			return
-		}
-		e.val, e.err = buildCircuit(ct, spec, se.val)
-		if e.val != nil {
-			e.val.cacheKey, e.val.simCacheKey = key, simKey
-		}
-		c.setCost(e.node, e.val.cost())
-	})
-	return e.val, e.err
+	return a.Circuit(), nil
 }
 
-// SOC is the SOC-level counterpart of Circuit with the same two-level
-// structure: the per-core pattern expansion and fault-free simulation are
-// shared across plans and TAM widths.
+// SOC returns the artifacts for (s, spec), building at most once per
+// content key. The simulation layer — per-core pattern expansion and
+// fault-free simulation — is cached separately, so a new scheme, plan or
+// TAM width over an already-simulated SOC rebuilds only partitions and
+// signatures.
 func (c *ArtifactCache) SOC(s *soc.SOC, spec Spec) (*SOCArtifacts, error) {
 	spec = spec.Normalized()
 	if c == nil {
-		sa, err := buildSOCSim(s, spec)
+		fs, err := buildSOCSim(s, spec)
 		if err != nil {
 			return nil, err
 		}
-		return buildSOC(s, spec, sa)
+		return buildSOC(s, spec, fs)
 	}
-	fp := SOCFingerprint(s)
+	fp := socFingerprint(s, c.fingerprint)
 	key, simKey := spec.Key(fp), spec.simKey(fp)
 	e := lookup(c, &c.socs, kindSOC, key, &c.stats.Hits, &c.stats.Misses)
 	e.once.Do(func() {
 		se := lookup(c, &c.socSims, kindSOCSim, simKey, &c.stats.SimHits, &c.stats.SimMisses)
 		se.once.Do(func() {
 			se.val, se.err = c.fetchSOCSim(s, spec, simKey)
-			c.setCost(se.node, se.val.cost())
+			c.setCost(se.node, simCost(se.val))
 		})
 		if se.err != nil {
 			e.err = se.err

@@ -124,11 +124,15 @@ func CircuitFingerprint(c *circuit.Circuit) string {
 
 // SOCFingerprint hashes an SOC's identity: its name and each core's name
 // and netlist fingerprint in daisy-chain order.
-func SOCFingerprint(s *soc.SOC) string {
+func SOCFingerprint(s *soc.SOC) string { return socFingerprint(s, CircuitFingerprint) }
+
+// socFingerprint is SOCFingerprint over a core fingerprint function, so
+// the cache can hash each netlist once (ArtifactCache.fingerprint).
+func socFingerprint(s *soc.SOC, circuitFP func(*circuit.Circuit) string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "soc %s\n", s.Name)
 	for _, c := range s.Cores {
-		fmt.Fprintf(h, "core %s %s\n", c.Name, CircuitFingerprint(c.Circuit))
+		fmt.Fprintf(h, "core %s %s\n", c.Name, circuitFP(c.Circuit))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

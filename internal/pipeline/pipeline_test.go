@@ -176,6 +176,31 @@ func TestCacheSOCSharesSimAcrossTAMWidths(t *testing.T) {
 	}
 }
 
+// TestSOCLookupMemoizesCoreFingerprints: SOC lookups hash each core
+// netlist once per cache, through the per-pointer fingerprint memo, and
+// key the artifacts exactly as SOCFingerprint does.
+func TestSOCLookupMemoizesCoreFingerprints(t *testing.T) {
+	s := budgetSOC(t)
+	cache := NewCache()
+	for _, scheme := range []partition.Scheme{partition.Interval{}, partition.TwoStep{}} {
+		a, err := cache.SOC(s, baseSpec(scheme))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := a.Spec.Key(SOCFingerprint(s)); a.cacheKey != want {
+			t.Errorf("cache key %q, want %q", a.cacheKey, want)
+		}
+	}
+	if got, want := len(cache.fps), s.NumCores(); got != want {
+		t.Errorf("fingerprint memo holds %d entries after two lookups, want one per core (%d)", got, want)
+	}
+	for _, c := range s.Cores {
+		if cache.fps[c.Circuit] != CircuitFingerprint(c.Circuit) {
+			t.Errorf("core %s: memoized fingerprint differs from CircuitFingerprint", c.Name)
+		}
+	}
+}
+
 func TestCacheConcurrentLookupBuildsOnce(t *testing.T) {
 	c := benchgen.MustGenerate("s298")
 	cache := NewCache()

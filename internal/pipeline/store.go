@@ -36,23 +36,6 @@ func (s Stats) String() string {
 		s.DiskHits, s.DiskMisses, s.DiskWrites, s.Promotions, s.Corruptions)
 }
 
-// Store is the tiered artifact store interface the diagnosis layers
-// consume; *ArtifactCache implements it (and a nil *ArtifactCache
-// degrades every method to an uncached build). It exists as an interface
-// for the service and coordinator/worker splits, which will front the
-// same operations with remote fetch tiers.
-type Store interface {
-	Circuit(ct *circuit.Circuit, spec Spec) (*CircuitArtifacts, error)
-	SOC(s *soc.SOC, spec Spec) (*SOCArtifacts, error)
-	Plan(ct *circuit.Circuit, faults []sim.Fault, opt sim.BatchOptions) *sim.BatchPlan
-	TransitionPlan(ct *circuit.Circuit, faults []sim.TransitionFault, opt sim.BatchOptions) *sim.BatchPlan
-	PinCircuit(a *CircuitArtifacts) func()
-	PinSOC(a *SOCArtifacts) func()
-	Stats() Stats
-}
-
-var _ Store = (*ArtifactCache)(nil)
-
 // BlobStore is the persistence tier: a flat, content-keyed byte store.
 // Implementations must be safe for concurrent use. Get reports a missing
 // key with an error wrapping fs.ErrNotExist; any other error is treated
@@ -187,59 +170,33 @@ func (c *ArtifactCache) notePromotion() {
 }
 
 // Disk-tier content keys, namespaced by artifact kind over the same
-// content identities the memory tier uses. Invalidation is purely
+// content identities the memory tier uses. A circuit's simulation layer
+// is stored as its one-core SOC's, under socsim|. Invalidation is purely
 // by-content-key: a changed netlist, pattern budget, or fault list
 // produces a different key, and stale entries age out via GC rather than
 // being hunted down.
-func simDiskKey(simKey string) string    { return "sim|" + simKey }
 func socSimDiskKey(simKey string) string { return "socsim|" + simKey }
 func conesDiskKey(fp string) string      { return "cones|" + fp }
 
-// fetchSim resolves the circuit simulation layer: disk tier first (decode
-// + validate + promote), then a fresh build with write-through.
-func (c *ArtifactCache) fetchSim(ct *circuit.Circuit, spec Spec, simKey string) (*simArtifacts, error) {
-	dk := simDiskKey(simKey)
-	if data, ok := c.diskFetch(dk); ok {
-		if fsim, err := codec.DecodeSimLayer(ct, data); err == nil {
-			c.notePromotion()
-			return simArtifactsOf(fsim), nil
-		}
-		c.diskCorrupt(dk)
-	}
-	sa, err := buildSim(ct, spec)
-	if err != nil {
-		return nil, err
-	}
-	c.diskWrite(dk, func() []byte { return codec.EncodeSimLayer(sa.fs) })
-	return sa, nil
-}
-
-func simArtifactsOf(fsim *sim.FaultSim) *simArtifacts {
-	sa := &simArtifacts{blocks: fsim.Blocks(), fs: fsim}
-	for i := range sa.blocks {
-		sa.good = append(sa.good, fsim.Good(i))
-	}
-	return sa
-}
-
-// fetchSOCSim is fetchSim at SOC scope: the persisted artifact carries
-// the segment map and every core's layer, so a warm start re-simulates
-// no core at all.
-func (c *ArtifactCache) fetchSOCSim(s *soc.SOC, spec Spec, simKey string) (*socSimArtifacts, error) {
+// fetchSOCSim resolves the simulation layer: disk tier first (decode +
+// validate + promote), then a fresh build with write-through. The
+// persisted artifact carries every core's layer, so a warm start
+// re-simulates no core at all.
+func (c *ArtifactCache) fetchSOCSim(s *soc.SOC, spec Spec, simKey string) (*soc.FaultSim, error) {
 	dk := socSimDiskKey(simKey)
 	if data, ok := c.diskFetch(dk); ok {
-		if fsim, err := codec.DecodeSOCSimLayer(s, data); err == nil {
+		if fs, err := codec.DecodeSOCSimLayer(s, data); err == nil {
 			c.notePromotion()
-			return &socSimArtifacts{fs: fsim}, nil
+			return fs, nil
 		}
 		c.diskCorrupt(dk)
 	}
-	sa, err := buildSOCSim(s, spec)
+	fs, err := buildSOCSim(s, spec)
 	if err != nil {
 		return nil, err
 	}
-	c.diskWrite(dk, func() []byte { return codec.EncodeSOCSimLayer(sa.fs) })
-	return sa, nil
+	c.diskWrite(dk, func() []byte { return codec.EncodeSOCSimLayer(fs) })
+	return fs, nil
 }
 
 // fingerprint memoizes CircuitFingerprint per netlist pointer, so plan

@@ -311,7 +311,7 @@ func TestCorruptBlobRebuildsCleanly(t *testing.T) {
 	}
 
 	ds := openDisk(t, dir)
-	simKey := diskKeyWithPrefix(t, ds, "sim|")
+	simKey := diskKeyWithPrefix(t, ds, "socsim|")
 	corruptEntryFile(t, ds, simKey)
 
 	warm := NewCache()
@@ -353,7 +353,7 @@ func TestDecodeFailureQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := openDisk(t, dir)
-	simKey := diskKeyWithPrefix(t, ds, "sim|")
+	simKey := diskKeyWithPrefix(t, ds, "socsim|")
 	// Overwrite with bytes the diskstore CRC accepts but the codec must
 	// reject: valid blob, invalid artifact.
 	if err := ds.Put(simKey, []byte("not a codec envelope")); err != nil {

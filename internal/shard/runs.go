@@ -167,20 +167,13 @@ func (c *Coordinator) RunSOC(ctx context.Context, ref codec.DeviceRef, o core.Op
 
 	studies := make(map[int]*core.Study, len(cores))
 	for _, ci := range cores {
-		faults := coreFaults[ci]
-		slots := make([]*core.FaultDiagnosis, len(faults))
-		batches, capacity := 0, 0.0
+		var own []*codec.ShardResult
 		for j, res := range results {
-			if res == nil || jobCore[jobs[j].ID] != ci {
-				continue
-			}
-			batches += int(res.PlanBatches)
-			capacity += float64(res.PlanBatches) * float64(res.LaneCap)
-			for i := range res.Diagnoses {
-				d := &res.Diagnoses[i]
-				slots[d.Index] = diagnosisFromWire(faults[d.Index], d)
+			if jobCore[jobs[j].ID] == ci {
+				own = append(own, res)
 			}
 		}
+		slots, batches, capacity := mergeDiagnoses(coreFaults[ci], own)
 		study := core.MergeObserved(o, schemeName(o.Scheme), slots, func(fd *core.FaultDiagnosis) {
 			if observe != nil {
 				observe(ci, fd)

@@ -350,8 +350,15 @@ func (fs *FaultSim) newScratch(base []*Response) *Scratch {
 		sc.faulty[i] = r
 	}
 	sc.res.FailingCells = bitset.New(fs.sim.c.NumDFFs())
+	sc.res.Faulty = sc.faulty
 	return sc
 }
+
+// Result returns the scratch's reusable Result, the one RunInto and
+// MaterializeBatch fill and return. Its FailingCells and Faulty buffers
+// are allocated once with the scratch and reused by every call, so a
+// holder of the Scratch may bind them up front.
+func (sc *Scratch) Result() *Result { return &sc.res }
 
 // Result summarises the effect of one fault over the pattern set.
 type Result struct {

@@ -54,6 +54,15 @@ func New(name string, cores ...*Core) (*SOC, error) {
 	return s, nil
 }
 
+// OfCircuit returns a plain full-scan circuit as a one-core SOC, core and
+// SOC both named after the circuit. Its single meta chain is the
+// circuit's own scan chain and, for one core, GeneratePatterns draws the
+// PRPG stream in the same order as bist.GenerateBlocks, so the SOC flow
+// reproduces the standalone circuit's diagnosis.
+func OfCircuit(c *circuit.Circuit) *SOC {
+	return &SOC{Name: c.Name, Cores: []*Core{{Name: c.Name, Circuit: c}}, offsets: []int{0}, total: c.NumDFFs()}
+}
+
 // NumCells returns the total scan cell count across cores.
 func (s *SOC) NumCells() int { return s.total }
 
@@ -275,7 +284,9 @@ func (s *SOC) GeneratePatterns(prpg *lfsr.LFSR, nPatterns int) [][]*sim.Block {
 
 // FaultSim runs fault simulation at SOC scope: a fault lives in one core,
 // every other core responds fault-free, and responses are assembled into
-// the global cell space for the BIST engine.
+// the global cell space for the BIST engine. With one core the global
+// cell space is the core's own, so the core's responses, blocks and
+// failing-cell sets serve as the global ones without a copy.
 type FaultSim struct {
 	soc      *SOC
 	sims     []*sim.FaultSim
@@ -294,17 +305,33 @@ func NewFaultSim(s *SOC, patterns [][]*sim.Block) (*FaultSim, error) {
 	for i, c := range s.Cores {
 		fs.sims = append(fs.sims, sim.NewFaultSim(c.Circuit, patterns[i]))
 	}
-	nBlocks := len(patterns[0])
-	for bi := 0; bi < nBlocks; bi++ {
-		g := &sim.Response{Next: make([]uint64, s.total)}
-		for i := range s.Cores {
-			lo, _ := s.CellRange(i)
+	fs.assemble()
+	return fs, nil
+}
+
+// oneCore reports whether the global cell space is core 0's own.
+func (fs *FaultSim) oneCore() bool { return len(fs.sims) == 1 }
+
+// assemble derives the global good responses and the engine-shaped
+// blocks from the per-core simulators. One core's are used as they are.
+func (fs *FaultSim) assemble() {
+	if fs.oneCore() {
+		core := fs.sims[0]
+		fs.shape = core.Blocks()
+		for bi := range fs.shape {
+			fs.good = append(fs.good, core.Good(bi))
+		}
+		return
+	}
+	for bi, b := range fs.patterns[0] {
+		g := &sim.Response{Next: make([]uint64, fs.soc.total)}
+		for i := range fs.sims {
+			lo, _ := fs.soc.CellRange(i)
 			copy(g.Next[lo:], fs.sims[i].Good(bi).Next)
 		}
 		fs.good = append(fs.good, g)
-		fs.shape = append(fs.shape, &sim.Block{N: patterns[0][bi].N})
+		fs.shape = append(fs.shape, &sim.Block{N: b.N})
 	}
-	return fs, nil
 }
 
 // SOC returns the simulated system.
@@ -370,7 +397,8 @@ func (fs *FaultSim) Run(core int, f sim.Fault) *Result {
 // loop: global responses pre-seeded with the fault-free values, per-core
 // simulation scratch, and a reusable Result. Use one Scratch per
 // goroutine; a Result returned by RunInto aliases the Scratch and is
-// overwritten by the next call.
+// overwritten by the next call. A one-core Scratch holds no global
+// buffers: its Results alias the core's scratch.
 type Scratch struct {
 	faulty   []*sim.Response
 	cores    []*sim.Scratch
@@ -381,13 +409,19 @@ type Scratch struct {
 // NewScratch allocates the reusable buffers for RunInto.
 func (fs *FaultSim) NewScratch() *Scratch {
 	sc := &Scratch{lastCore: -1}
+	for _, s := range fs.sims {
+		sc.cores = append(sc.cores, s.NewScratch())
+	}
+	if fs.oneCore() {
+		// The core's result buffers are the global ones: bind them once.
+		r := sc.cores[0].Result()
+		sc.res.FailingCells, sc.res.Faulty = r.FailingCells, r.Faulty
+		return sc
+	}
 	for bi := range fs.good {
 		r := &sim.Response{Next: make([]uint64, fs.soc.total)}
 		copy(r.Next, fs.good[bi].Next)
 		sc.faulty = append(sc.faulty, r)
-	}
-	for _, s := range fs.sims {
-		sc.cores = append(sc.cores, s.NewScratch())
 	}
 	sc.res.FailingCells = bitset.New(fs.soc.total)
 	return sc
@@ -404,8 +438,14 @@ func (fs *FaultSim) RunInto(core int, f sim.Fault, sc *Scratch) *Result {
 // spliceLocal assembles a core-local simulation result into the scratch's
 // global cell space: the previously faulty core's segment is rewound to
 // fault-free values, the local captured values replace the core's segment,
-// and the failing cells are lifted to global indices.
+// and the failing cells are lifted to global indices. With one core the
+// local result already is the global one: the Scratch's Result is bound
+// to the core's buffers (NewScratch), so nothing is copied.
 func (fs *FaultSim) spliceLocal(core int, local *sim.Result, sc *Scratch) *Result {
+	if fs.oneCore() {
+		sc.res.Core, sc.res.Fault = core, local.Fault
+		return &sc.res
+	}
 	if last := sc.lastCore; last >= 0 && last != core {
 		llo, lhi := fs.soc.CellRange(last)
 		for bi := range sc.faulty {
@@ -467,6 +507,10 @@ func (fs *FaultSim) MaterializeBatch(core int, bs *sim.BatchScratch, k int, sc *
 func (fs *FaultSim) RunMulti(coreFaults map[int]sim.Fault) *Result {
 	if len(coreFaults) == 0 {
 		panic("soc: RunMulti with no faults")
+	}
+	if f, ok := coreFaults[0]; ok && fs.oneCore() {
+		res := fs.sims[0].Run(f)
+		return &Result{Core: 0, Fault: f, FailingCells: res.FailingCells, Faulty: res.Faulty}
 	}
 	out := &Result{Core: -1, FailingCells: bitset.New(fs.soc.total)}
 	for bi := range fs.good {

@@ -13,6 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
+// equivalenceSOCs returns the SOCs the equivalence tests run over: the
+// three-core smallSOC and a plain circuit as a one-core SOC.
+func equivalenceSOCs(t *testing.T) []*SOC {
+	return []*SOC{smallSOC(t), OfCircuit(benchgen.MustGenerate("s953"))}
+}
+
 // smallSOC builds a three-core SOC from small profiles for fast tests.
 func smallSOC(t *testing.T) *SOC {
 	t.Helper()
@@ -381,8 +387,15 @@ func TestScheduleValidation(t *testing.T) {
 // are interleaved through one shared Scratch so the cross-core segment
 // restore is exercised, and every result is checked against the cone
 // restriction: a spot defect can only corrupt GlobalConeCells of its site.
+// The one-core case runs the fast path, whose results alias the core's
+// scratch: interleaved faults on one Scratch must not leak into each other.
 func TestEventEquivalenceMetaChain(t *testing.T) {
-	s := smallSOC(t)
+	for _, s := range equivalenceSOCs(t) {
+		t.Run(s.Name, func(t *testing.T) { eventEquivalence(t, s) })
+	}
+}
+
+func eventEquivalence(t *testing.T, s *SOC) {
 	patterns := s.GeneratePatterns(lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1), 100)
 	fs, err := NewFaultSim(s, patterns)
 	if err != nil {
@@ -470,9 +483,16 @@ func TestGlobalConeCells(t *testing.T) {
 // on one shared Scratch, so every materialization crosses a core boundary
 // and exercises the segment-restore protocol, and each member's global
 // failing cells and response words must match the single-fault assembly
-// exactly.
+// exactly. A RunInto of another fault on the same Scratch follows every
+// materialization; in the one-core case, whose results alias the core's
+// scratch, this checks that no result leaks into the next call.
 func TestBatchEquivalenceMetaChain(t *testing.T) {
-	s := smallSOC(t)
+	for _, s := range equivalenceSOCs(t) {
+		t.Run(s.Name, func(t *testing.T) { batchEquivalence(t, s) })
+	}
+}
+
+func batchEquivalence(t *testing.T, s *SOC) {
 	patterns := s.GeneratePatterns(lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1), 100)
 	fs, err := NewFaultSim(s, patterns)
 	if err != nil {
@@ -510,26 +530,32 @@ func TestBatchEquivalenceMetaChain(t *testing.T) {
 				covered++
 				f := sw.faults[i]
 				cc := s.Cores[sw.core].Circuit
-				got := fs.MaterializeBatch(sw.core, sw.bs, k, sc)
-				want := refs[sw.core].RunReference(f)
-				wantCells := bitset.New(s.NumCells())
-				want.FailingCells.ForEach(func(cell int) { wantCells.Add(lo + cell) })
-				if !got.FailingCells.Equal(wantCells) {
-					t.Fatalf("core %d %s: FailingCells %v, want %v",
-						sw.core, f.Describe(cc), got.FailingCells, wantCells)
-				}
-				for bi := range got.Faulty {
-					for cell := 0; cell < s.NumCells(); cell++ {
-						wantWord := fs.Good()[bi].Next[cell]
-						if cell >= lo && cell < hi {
-							wantWord = want.Faulty[bi].Next[cell-lo]
-						}
-						if got.Faulty[bi].Next[cell] != wantWord {
-							t.Fatalf("core %d %s block %d cell %d: %#x, want %#x",
-								sw.core, f.Describe(cc), bi, cell, got.Faulty[bi].Next[cell], wantWord)
+				check := func(how string, f sim.Fault, got *Result) {
+					want := refs[sw.core].RunReference(f)
+					wantCells := bitset.New(s.NumCells())
+					want.FailingCells.ForEach(func(cell int) { wantCells.Add(lo + cell) })
+					if !got.FailingCells.Equal(wantCells) {
+						t.Fatalf("%s core %d %s: FailingCells %v, want %v",
+							how, sw.core, f.Describe(cc), got.FailingCells, wantCells)
+					}
+					for bi := range got.Faulty {
+						for cell := 0; cell < s.NumCells(); cell++ {
+							wantWord := fs.Good()[bi].Next[cell]
+							if cell >= lo && cell < hi {
+								wantWord = want.Faulty[bi].Next[cell-lo]
+							}
+							if got.Faulty[bi].Next[cell] != wantWord {
+								t.Fatalf("%s core %d %s block %d cell %d: %#x, want %#x",
+									how, sw.core, f.Describe(cc), bi, cell, got.Faulty[bi].Next[cell], wantWord)
+							}
 						}
 					}
 				}
+				check("MaterializeBatch", f, fs.MaterializeBatch(sw.core, sw.bs, k, sc))
+				// A single-fault run on the same Scratch between two
+				// materializations: neither may see the other's patches.
+				other := sw.faults[(i+1)%len(sw.faults)]
+				check("RunInto", other, fs.RunInto(sw.core, other, sc))
 			}
 		}
 		if !progressed {

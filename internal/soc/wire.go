@@ -46,13 +46,7 @@ func NewFaultSimFromCores(s *SOC, sims []*sim.FaultSim) (*FaultSim, error) {
 					s.Name, bi, fs.patterns[i][bi].N, s.Cores[i].Name, n, s.Cores[0].Name)
 			}
 		}
-		g := &sim.Response{Next: make([]uint64, s.total)}
-		for i := range s.Cores {
-			lo, _ := s.CellRange(i)
-			copy(g.Next[lo:], sims[i].Good(bi).Next)
-		}
-		fs.good = append(fs.good, g)
-		fs.shape = append(fs.shape, &sim.Block{N: n})
 	}
+	fs.assemble()
 	return fs, nil
 }
