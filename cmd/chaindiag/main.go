@@ -14,9 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime/pprof"
-	"strings"
 
 	"repro/internal/benchgen"
 	"repro/internal/chaindiag"
@@ -27,7 +24,6 @@ import (
 	"repro/internal/pipeline/diskstore"
 	"repro/internal/scan"
 	"repro/internal/shard"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -37,18 +33,21 @@ func main() {
 		stuck    = flag.Int("stuck", 0, "stuck value of the injected fault (0 or 1)")
 		healthy  = flag.Bool("healthy", false, "diagnose a fault-free chain instead")
 		sweep    = flag.Bool("sweep", false, "inject a fault at every position and summarise accuracy")
-		workers  = flag.Int("workers", 0, "goroutines for -sweep (0 = all CPUs, 1 = serial; results are identical)")
-		lanes    = flag.Int("lanes", 0, "fault lanes per batch, 0-256; accepted for CLI consistency — chain diagnosis runs one shift-path fault at a time and never batches")
 		drcCheck = flag.Bool("drc", false, "run the static design-rule checker on the netlist before diagnosing")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
-		timeout    = flag.Duration("timeout", 0, "wall-clock budget for -sweep (0 = none); on expiry the partial accuracy summary is reported")
-		cacheMB    = flag.Int64("cachemb", 0, "artifact-cache budget in MiB (0 = unbounded); accepted for CLI consistency — chain diagnosis builds no cacheable artifacts")
-		cacheDir   = flag.String("cachedir", "", "artifact store directory; chaindiag only opens and reports it (no artifacts are built)")
-		connect    = flag.String("connect", "", "comma-separated sharddiag worker addresses (host:port, or unix:/path); shard -sweep across them instead of running in-process")
-		shards     = flag.Int("shards", 0, "shards to split the injection sweep into when -connect is set (0 = 4 per worker)")
+		run      = cli.RegisterRunFlags(flag.CommandLine)
+		remote   = cli.RegisterShardFlags(flag.CommandLine)
 	)
+	for name, usage := range map[string]string{
+		"workers":  "goroutines for -sweep (0 = all CPUs, 1 = serial; results are identical)",
+		"lanes":    "fault lanes per batch, 0-256; accepted for CLI consistency — chain diagnosis runs one shift-path fault at a time and never batches",
+		"timeout":  "wall-clock budget for -sweep (0 = none); on expiry the partial accuracy summary is reported",
+		"cachemb":  "artifact-cache budget in MiB (0 = unbounded); accepted for CLI consistency — chain diagnosis builds no cacheable artifacts",
+		"cachedir": "artifact store directory; chaindiag only opens and reports it (no artifacts are built)",
+		"connect":  "comma-separated sharddiag worker addresses (host:port, or unix:/path); shard -sweep across them instead of running in-process",
+		"shards":   "shards to split the injection sweep into when -connect is set (0 = 4 per worker)",
+	} {
+		flag.Lookup(name).Usage = usage
+	}
 	flag.Parse()
 
 	if *stuck != 0 && *stuck != 1 {
@@ -57,23 +56,17 @@ func main() {
 	if *position < 0 {
 		usageError(fmt.Errorf("-position must not be negative, got %d", *position))
 	}
-	if *workers < 0 {
-		usageError(fmt.Errorf("-workers must be non-negative, got %d", *workers))
-	}
-	if *lanes < 0 || *lanes > sim.MaxBatchLanes {
-		usageError(fmt.Errorf("-lanes %d out of range 0..%d", *lanes, sim.MaxBatchLanes))
-	}
-	if *timeout < 0 {
-		usageError(fmt.Errorf("-timeout must be non-negative, got %v", *timeout))
-	}
-	if err := cli.ValidateCacheMB(*cacheMB); err != nil {
+	if err := run.Validate(); err != nil {
 		usageError(err)
 	}
-	if *cacheDir != "" {
+	if err := remote.Validate(); err != nil {
+		usageError(err)
+	}
+	if run.CacheDir != "" {
 		// Chain diagnosis is pure shift-path simulation with no cacheable
 		// build artifacts; honor the shared flag by opening (and creating)
 		// the store so scripted pipelines can pass one -cachedir everywhere.
-		ds, err := diskstore.Open(*cacheDir, diskstore.Options{})
+		ds, err := diskstore.Open(run.CacheDir, diskstore.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -84,17 +77,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chaindiag: artifact store %s holds %d entries (unused by chain diagnosis)\n", ds.Dir(), len(entries))
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := run.StartProfiles("chaindiag")
+	if err != nil {
+		fatal(err)
 	}
-	defer cli.WriteMemProfile("chaindiag", *memprofile)
+	defer stopProfiles()
 
 	p, ok := benchgen.ProfileByName(*name)
 	if !ok {
@@ -114,22 +101,16 @@ func main() {
 	fmt.Printf("circuit: %s (chain of %d cells)\n", c.Stats(), c.NumDFFs())
 
 	if *sweep {
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
-		ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
+		ctx, stop := cli.SignalContext(run.Timeout)
 		defer stop()
-		if *connect != "" {
-			runShardedSweep(ctx, c, *name, order, *connect, *shards)
+		if remote.Connect != "" {
+			runShardedSweep(ctx, c, *name, order, remote)
 		} else {
-			runSweep(ctx, c, order, *workers)
+			runSweep(ctx, c, order, run.Workers)
 		}
 		return
 	}
-	if *connect != "" {
+	if remote.Connect != "" {
 		usageError(fmt.Errorf("-connect applies only to -sweep (single injections run locally)"))
 	}
 
@@ -155,38 +136,18 @@ func main() {
 }
 
 func runSweep(ctx context.Context, c *circuit.Circuit, order []int, workers int) {
-	n := c.NumDFFs()
 	// One injection per (position, stuck) pair; each job is independent,
 	// so the sweep fans out over an Executor and aggregates afterwards. On
 	// a -timeout deadline or Ctrl-C the pool drains its in-flight claims
 	// and the summary covers the contiguous prefix of injections finished.
-	type outcome struct {
-		located, exact bool
-		cands          int
-		err            error
-		done           bool
-	}
-	results := make([]outcome, 2*n)
-	runErr := pipeline.Executor{Workers: workers}.RunContext(ctx, len(results), func() func(int) error {
+	outs := make([]*chaindiag.Outcome, 2*c.NumDFFs())
+	runErr := pipeline.Executor{Workers: workers}.RunContext(ctx, len(outs), func() func(int) error {
 		return func(i int) error {
-			truth := chaindiag.ChainFault{Position: i / 2, Stuck: uint8(i % 2)}
-			dut, err := chaindiag.NewDevice(c, order, &truth)
+			out, err := chaindiag.Inject(c, order, i)
 			if err != nil {
 				return err
 			}
-			cands, err := chaindiag.Diagnose(c, order, dut.LoadCaptureObserve)
-			if err != nil {
-				return err
-			}
-			results[i].cands = len(cands)
-			for _, cand := range cands {
-				if cand.Fault != nil && *cand.Fault == truth {
-					results[i].located = true
-					results[i].exact = len(cands) == 1
-					break
-				}
-			}
-			results[i].done = true
+			outs[i] = &out
 			return nil
 		}
 	})
@@ -194,48 +155,30 @@ func runSweep(ctx context.Context, c *circuit.Circuit, order []int, workers int)
 		fatal(runErr)
 	}
 	runs := 0
-	for runs < len(results) && results[runs].done {
+	for runs < len(outs) && outs[runs] != nil {
 		runs++
 	}
-	if runs == 0 {
-		fatal(fmt.Errorf("sweep interrupted (%v) before any injection finished", runErr))
-	}
-	exact, located, totalCands := 0, 0, 0
-	for _, r := range results[:runs] {
-		totalCands += r.cands
-		if r.located {
-			located++
-		}
-		if r.exact {
-			exact++
-		}
-	}
-	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "chaindiag: sweep interrupted (%v): %d of %d injections finished; summarising the prefix\n",
-			runErr, runs, len(results))
-	}
-	fmt.Printf("injected %d shift-path faults:\n", runs)
-	fmt.Printf("  located:         %d (%.1f%%)\n", located, 100*float64(located)/float64(runs))
-	fmt.Printf("  exactly (1 cand): %d (%.1f%%)\n", exact, 100*float64(exact)/float64(runs))
-	fmt.Printf("  avg candidates:  %.2f\n", float64(totalCands)/float64(runs))
+	summarise(outs[:runs], len(outs), runErr, "the prefix")
 }
 
 // runShardedSweep fans the injection sweep out to sharddiag workers.
 // Verdicts are per-injection and independent, so the summary matches
 // runSweep's exactly on a complete run; on a partial failure the
 // non-failed injections are summarised (a sound subset).
-func runShardedSweep(ctx context.Context, c *circuit.Circuit, name string, order []int, connect string, shards int) {
-	conns, err := shard.DialAll(ctx, strings.Split(connect, ","))
+func runShardedSweep(ctx context.Context, c *circuit.Circuit, name string, order []int, remote *cli.ShardFlags) {
+	co, hangUp, err := remote.Dial(ctx)
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		for _, wc := range conns {
-			wc.Close()
-		}
-	}()
-	co := &shard.Coordinator{Conns: conns, Shards: shards}
+	defer hangUp()
 	outs, runErr := co.RunChain(ctx, shard.ProfileRef(name, 0, 1, c), order, 2*c.NumDFFs())
+	summarise(outs, len(outs), runErr, "those")
+}
+
+// summarise prints the accuracy summary over the finished injections
+// (nil entries did not finish) of a sweep that scheduled scheduled of
+// them; which names the finished set in the interruption note.
+func summarise(outs []*chaindiag.Outcome, scheduled int, runErr error, which string) {
 	runs, located, exact, totalCands := 0, 0, 0, 0
 	for _, out := range outs {
 		if out == nil {
@@ -254,8 +197,8 @@ func runShardedSweep(ctx context.Context, c *circuit.Circuit, name string, order
 		fatal(fmt.Errorf("sweep interrupted (%v) before any injection finished", runErr))
 	}
 	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "chaindiag: sweep interrupted (%v): %d of %d injections finished; summarising those\n",
-			runErr, runs, len(outs))
+		fmt.Fprintf(os.Stderr, "chaindiag: sweep interrupted (%v): %d of %d injections finished; summarising %s\n",
+			runErr, runs, scheduled, which)
 	}
 	fmt.Printf("injected %d shift-path faults:\n", runs)
 	fmt.Printf("  located:         %d (%.1f%%)\n", located, 100*float64(located)/float64(runs))

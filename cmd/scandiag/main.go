@@ -11,14 +11,10 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime/pprof"
-	"strings"
 
 	"repro/internal/benchgen"
 	"repro/internal/bist"
@@ -26,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/drc"
 	"repro/internal/noise"
-	"repro/internal/pipeline"
 	"repro/internal/scan"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -42,8 +37,6 @@ func main() {
 		patterns     = flag.Int("patterns", 128, "pseudorandom patterns per BIST session")
 		faults       = flag.Int("faults", 500, "stuck-at faults to sample")
 		seed         = flag.Int64("seed", 1, "fault sampling seed")
-		workers      = flag.Int("workers", 0, "goroutines for the fault sweep (0 = all CPUs, 1 = serial; results are identical)")
-		lanes        = flag.Int("lanes", 0, "fault lanes per batch, 1-256 (0 = engine default 256; above 64 engages the wide-word kernel)")
 		chains       = flag.Int("chains", 1, "number of balanced scan chains")
 		order        = flag.String("order", "natural", "scan order: natural|random|reverse")
 		ideal        = flag.Bool("ideal", false, "bypass the MISR (alias-free compaction)")
@@ -55,13 +48,8 @@ func main() {
 		retries      = flag.Int("retries", 0, "extra executions per session; completed executions vote on the verdict")
 		vote         = flag.Int("vote", 1, "prune a cell only if its group passed in at least this many partitions")
 		noiseSeed    = flag.Uint64("noise-seed", 7, "seed for the unreliable-tester noise streams")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file after the run")
-		timeout      = flag.Duration("timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry the partial study is reported")
-		cacheMB      = flag.Int64("cachemb", 0, "artifact-cache budget in MiB (0 = unbounded)")
-		cacheDir     = flag.String("cachedir", "", "persist build artifacts under this directory and reuse them across runs (warm start)")
-		connect      = flag.String("connect", "", "comma-separated sharddiag worker addresses (host:port, or unix:/path); shard the sweep across them instead of running in-process")
-		shards       = flag.Int("shards", 0, "shards to split the fault list into when -connect is set (0 = 4 per worker)")
+		run          = cli.RegisterRunFlags(flag.CommandLine)
+		remote       = cli.RegisterShardFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -86,27 +74,18 @@ func main() {
 	if *vote < 1 || *vote > *partitions {
 		usageError(fmt.Errorf("-vote must be in [1, %d], got %d", *partitions, *vote))
 	}
-	if *workers < 0 {
-		usageError(fmt.Errorf("-workers must be non-negative, got %d", *workers))
+	if err := run.Validate(); err != nil {
+		usageError(err)
 	}
-	if *timeout < 0 {
-		usageError(fmt.Errorf("-timeout must be non-negative, got %v", *timeout))
-	}
-	if err := cli.ValidateCacheMB(*cacheMB); err != nil {
+	if err := remote.Validate(); err != nil {
 		usageError(err)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := run.StartProfiles("scandiag")
+	if err != nil {
+		fatal(err)
 	}
-	defer cli.WriteMemProfile("scandiag", *memprofile)
+	defer stopProfiles()
 
 	c, err := cli.LoadCircuit(*benchPath, *name)
 	if errors.Is(err, cli.ErrUnknownCircuit) {
@@ -125,13 +104,7 @@ func main() {
 	// A -timeout deadline and Ctrl-C both cancel the sweep at batch
 	// granularity: in-flight batches drain and the contiguous prefix of
 	// diagnosed faults is reported as a partial study.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
+	ctx, stop := cli.SignalContext(run.Timeout)
 	defer stop()
 
 	opts := core.Options{
@@ -141,19 +114,14 @@ func main() {
 		Patterns:      *patterns,
 		Chains:        *chains,
 		Ideal:         *ideal,
-		Workers:       *workers,
-		Lanes:         *lanes,
+		Workers:       run.Workers,
+		Lanes:         run.Lanes,
 		Noise:         noise.Model{Intermittent: *intermittent, Flip: *flip, Abort: *abort, Seed: *noiseSeed},
 		Retry:         bist.RetryPolicy{MaxRetries: *retries},
 		VoteThreshold: *vote,
 		StrictDRC:     *drcCheck,
-	}
-	if *cacheMB > 0 {
-		opts.Cache = pipeline.NewCacheWithBudget(pipeline.Budget{MaxBytes: *cacheMB << 20})
-	}
-	opts.CacheDir = *cacheDir
-	if *lanes < 0 || *lanes > sim.MaxBatchLanes {
-		usageError(fmt.Errorf("-lanes %d out of range 0..%d", *lanes, sim.MaxBatchLanes))
+		Cache:         cli.NewCache(run.CacheMB),
+		CacheDir:      run.CacheDir,
 	}
 	if err := opts.Noise.Validate(); err != nil {
 		usageError(err)
@@ -196,21 +164,16 @@ func main() {
 	}
 	var study *core.Study
 	var runErr error
-	if *connect != "" {
+	if remote.Connect != "" {
 		// Sharded run: identical per-fault verdicts and study aggregates,
 		// merged slot-major from the workers' deltas, so stdout below is
 		// byte-identical to the in-process sweep (the batch-plan "sched:"
 		// line, which legitimately differs, is verbose-only).
-		conns, err := shard.DialAll(ctx, strings.Split(*connect, ","))
+		co, hangUp, err := remote.Dial(ctx)
 		if err != nil {
 			fatal(err)
 		}
-		defer func() {
-			for _, wc := range conns {
-				wc.Close()
-			}
-		}()
-		co := &shard.Coordinator{Conns: conns, Shards: *shards}
+		defer hangUp()
 		if *verbose {
 			co.Progress = func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "scandiag: "+format+"\n", args...)
@@ -256,7 +219,7 @@ func main() {
 	}
 	// Cache traffic goes to stderr so warm and cold runs keep identical
 	// stdout — that invariance is what the CI warm-start check diffs.
-	if *cacheDir != "" {
+	if run.CacheDir != "" {
 		fmt.Fprintf(os.Stderr, "scandiag: %s\n", b.Opts.Cache.Stats())
 	}
 }

@@ -19,13 +19,13 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/cli"
+	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/retry"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -98,17 +98,14 @@ func serve(args []string) {
 		verbose    = fs.Bool("v", false, "log each connection, shard, and timing to stderr")
 	)
 	fs.Parse(args)
-	if *workers < 0 {
-		usageError(fs, fmt.Errorf("-workers must be non-negative, got %d", *workers))
+	if err := cli.NonNegative("workers", *workers); err != nil {
+		usageError(fs, err)
 	}
 	if err := cli.ValidateCacheMB(*cacheMB); err != nil {
 		usageError(fs, err)
 	}
 
-	cfg := shard.ServerConfig{Node: *node, Workers: *workers, CacheDir: *cacheDir}
-	if *cacheMB > 0 {
-		cfg.Cache = pipeline.NewCacheWithBudget(pipeline.Budget{MaxBytes: *cacheMB << 20})
-	}
+	cfg := shard.ServerConfig{Node: *node, Workers: *workers, Cache: cli.NewCache(*cacheMB), CacheDir: *cacheDir}
 	if *verbose {
 		cfg.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "sharddiag: %s %s\n",
@@ -135,7 +132,7 @@ func serve(args []string) {
 	fmt.Fprintf(os.Stderr, "sharddiag: worker listening on %s (workers=%d cachedir=%q)\n",
 		ln.Addr(), *workers, *cacheDir)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := cli.SignalContext(0)
 	defer stop()
 	if err := shard.NewServer(cfg).Serve(ctx, ln); err != nil && err != context.Canceled {
 		fatal(err)
@@ -145,8 +142,7 @@ func serve(args []string) {
 func coordinate(args []string) {
 	fs := flag.NewFlagSet("sharddiag coordinate", flag.ExitOnError)
 	var (
-		connect      = fs.String("connect", "", "comma-separated worker addresses (host:port, or unix:/path/to.sock)")
-		shards       = fs.Int("shards", 0, "shards to split the fault list into (0 = 4 per worker)")
+		remote       = cli.RegisterShardFlags(fs)
 		shardTimeout = fs.Duration("shard-timeout", 0, "per-shard round-trip deadline (0 = none); timed-out shards are retried elsewhere")
 		retries      = fs.Int("retries", 0, "dispatch attempts per shard on transient failure (0 = default 3)")
 		circuitName  = fs.String("circuit", "", "built-in benchmark profile to diagnose")
@@ -164,8 +160,10 @@ func coordinate(args []string) {
 		timeout      = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); on expiry the partial study is reported")
 		verbose      = fs.Bool("v", false, "log shard dispatch, worker progress, and connection events to stderr")
 	)
+	fs.Lookup("connect").Usage = "comma-separated worker addresses (host:port, or unix:/path/to.sock)"
+	fs.Lookup("shards").Usage = "shards to split the fault list into (0 = 4 per worker)"
 	fs.Parse(args)
-	if *connect == "" {
+	if remote.Connect == "" {
 		usageError(fs, fmt.Errorf("missing -connect: need at least one worker address"))
 	}
 	if *circuitName == "" && *benchPath == "" && *socPreset == "" {
@@ -180,8 +178,16 @@ func coordinate(args []string) {
 	if *faults < 1 {
 		usageError(fs, fmt.Errorf("-faults must be at least 1, got %d", *faults))
 	}
-	if *lanes < 0 || *lanes > sim.MaxBatchLanes {
-		usageError(fs, fmt.Errorf("-lanes %d out of range 0..%d", *lanes, sim.MaxBatchLanes))
+	for _, err := range []error{
+		cli.ValidateLanes(*lanes),
+		remote.Validate(),
+		cli.NonNegativeDuration("timeout", *timeout),
+		cli.NonNegativeDuration("shard-timeout", *shardTimeout),
+		cli.NonNegative("retries", *retries),
+	} {
+		if err != nil {
+			usageError(fs, err)
+		}
 	}
 	scheme, err := cli.SchemeByName(*schemeName)
 	if err != nil {
@@ -196,57 +202,43 @@ func coordinate(args []string) {
 		Lanes:      *lanes,
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
+	ctx, stop := cli.SignalContext(*timeout)
 	defer stop()
 
-	conns, err := shard.DialAll(ctx, strings.Split(*connect, ","))
+	co, hangUp, err := remote.Dial(ctx)
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		for _, wc := range conns {
-			wc.Close()
-		}
-	}()
-	nshards := *shards
-	if nshards == 0 {
-		nshards = shard.DefaultShards(len(conns))
+	defer hangUp()
+	if co.Shards == 0 {
+		co.Shards = shard.DefaultShards(len(co.Conns))
 	}
-	co := &shard.Coordinator{
-		Conns:        conns,
-		Shards:       nshards,
-		ShardTimeout: *shardTimeout,
-		Retry:        retry.Policy{MaxAttempts: *retries},
-	}
+	co.ShardTimeout = *shardTimeout
+	co.Retry = retry.Policy{MaxAttempts: *retries}
 	if *verbose {
 		co.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "sharddiag: "+format+"\n", args...)
 		}
-		for _, wc := range conns {
+		for _, wc := range co.Conns {
 			h := wc.Hello()
 			fmt.Fprintf(os.Stderr, "sharddiag: worker %s: pid %d, %d workers, cachedir %q\n",
 				wc.Node(), h.Pid, h.Workers, h.CacheDir)
 		}
 	}
 
+	// A circuit is core 0 of its one-core device, so both targets end in
+	// one per-core sweep.
 	var (
-		study  *core.Study
-		runErr error
-		label  string
-		total  int
+		ref        codec.DeviceRef
+		cc         *circuit.Circuit
+		faultyCore int
+		label      string
 	)
 	if *socPreset != "" {
 		s, err := soc.Preset(*socPreset)
 		if err != nil {
 			fatal(err)
 		}
-		faultyCore := 0
 		if *coreName != "" {
 			i, ok := s.CoreByName(*coreName)
 			if !ok {
@@ -254,38 +246,32 @@ func coordinate(args []string) {
 			}
 			faultyCore = i
 		}
-		cc := s.Cores[faultyCore].Circuit
-		sample := sim.SampleFaults(sim.CollapseFaults(cc, sim.FullFaultList(cc)), *faults, *seed)
-		total = len(sample)
+		ref, cc = shard.SOCRef(*socPreset, s), s.Cores[faultyCore].Circuit
 		label = fmt.Sprintf("%s core %s", s.Name, s.Cores[faultyCore].Name)
 		fmt.Printf("target:   %s (%d cores, %d scan cells), faulty core %s\n",
 			s.Name, s.NumCores(), s.NumCells(), s.Cores[faultyCore].Name)
-		study, runErr = co.RunSOCCore(ctx, shard.SOCRef(*socPreset, s), faultyCore, opts, sample,
-			shard.StuckAtCosts(cc, sample), nil)
 	} else {
 		c, err := cli.LoadCircuit(*benchPath, *circuitName)
 		if err != nil {
 			fatal(err)
 		}
-		sample := sim.SampleFaults(sim.CollapseFaults(c, sim.FullFaultList(c)), *faults, *seed)
-		total = len(sample)
-		label = c.Name
-		fmt.Printf("target:   %s\n", c.Stats())
-		ref := shard.ProfileRef(*circuitName, 0, 1, c)
+		ref, cc, label = shard.ProfileRef(*circuitName, 0, 1, c), c, c.Name
 		if *benchPath != "" {
 			ref = shard.BenchFileRef(*benchPath, c)
 		}
-		study, runErr = co.RunCircuit(ctx, ref, opts, sample, shard.StuckAtCosts(c, sample), nil)
+		fmt.Printf("target:   %s\n", c.Stats())
 	}
+	sample := sim.SampleFaults(sim.CollapseFaults(cc, sim.FullFaultList(cc)), *faults, *seed)
+	study, runErr := co.RunSOCCore(ctx, ref, faultyCore, opts, sample, shard.StuckAtCosts(cc, sample), nil)
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "sharddiag: run degraded (%v): diagnosed %d of %d scheduled faults; reporting the partial study\n",
 			runErr, study.Completeness.Observed, study.Completeness.Scheduled)
 	}
 	fmt.Printf("plan:     %s, %d groups x %d partitions, %d patterns/session, %d chains\n",
 		scheme.Name(), *groups, *partitions, *patterns, *chains)
-	fmt.Printf("workers:  %d connection(s), %d shard(s)\n", len(conns), co.Shards)
+	fmt.Printf("workers:  %d connection(s), %d shard(s)\n", len(co.Conns), co.Shards)
 	fmt.Printf("\nfaults:   %d sampled in %s, %d diagnosed, %d undetected\n",
-		total, label, study.Diagnosed, study.Undetected)
+		len(sample), label, study.Diagnosed, study.Undetected)
 	if !study.Completeness.Complete() {
 		fmt.Printf("partial:  %d of %d faults observed (%.0f%%)\n",
 			study.Completeness.Observed, study.Completeness.Scheduled, 100*study.Completeness.Fraction())

@@ -10,18 +10,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime/pprof"
-	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/drc"
-	"repro/internal/pipeline"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/soc"
@@ -39,16 +34,9 @@ func main() {
 		faults     = flag.Int("faults", 500, "stuck-at faults to sample in the faulty core")
 		drcCheck   = flag.Bool("drc", false, "run the static design-rule checker on every core and the TAM before simulating")
 		seed       = flag.Int64("seed", 1, "fault sampling seed")
-		workers    = flag.Int("workers", 0, "goroutines for the fault sweep (0 = all CPUs, 1 = serial; results are identical)")
-		lanes      = flag.Int("lanes", 0, "fault lanes per batch, 1-256 (0 = engine default 256; above 64 engages the wide-word kernel)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
-		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry the partial study is reported")
-		cacheMB    = flag.Int64("cachemb", 0, "artifact-cache budget in MiB (0 = unbounded)")
-		cacheDir   = flag.String("cachedir", "", "persist build artifacts under this directory and reuse them across runs (warm start)")
 		preset     = flag.String("preset", "", "SOC preset name (soc1|soc2|soc1m|socmini); overrides -soc")
-		connect    = flag.String("connect", "", "comma-separated sharddiag worker addresses (host:port, or unix:/path); shard the sweep across them instead of running in-process")
-		shards     = flag.Int("shards", 0, "shards to split the fault list into when -connect is set (0 = 4 per worker)")
+		run        = cli.RegisterRunFlags(flag.CommandLine)
+		remote     = cli.RegisterShardFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -67,30 +55,18 @@ func main() {
 	if *faults < 1 {
 		usageError(fmt.Errorf("-faults must be at least 1, got %d", *faults))
 	}
-	if *workers < 0 {
-		usageError(fmt.Errorf("-workers must be non-negative, got %d", *workers))
+	if err := run.Validate(); err != nil {
+		usageError(err)
 	}
-	if *lanes < 0 || *lanes > sim.MaxBatchLanes {
-		usageError(fmt.Errorf("-lanes %d out of range 0..%d", *lanes, sim.MaxBatchLanes))
-	}
-	if *timeout < 0 {
-		usageError(fmt.Errorf("-timeout must be non-negative, got %v", *timeout))
-	}
-	if err := cli.ValidateCacheMB(*cacheMB); err != nil {
+	if err := remote.Validate(); err != nil {
 		usageError(err)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := run.StartProfiles("socdiag")
+	if err != nil {
+		fatal(err)
 	}
-	defer cli.WriteMemProfile("socdiag", *memprofile)
+	defer stopProfiles()
 
 	presetName := *preset
 	if presetName == "" {
@@ -147,13 +123,11 @@ func main() {
 		Partitions: *partitions,
 		Patterns:   *patterns,
 		Chains:     *chains,
-		Workers:    *workers,
-		Lanes:      *lanes,
+		Workers:    run.Workers,
+		Lanes:      run.Lanes,
 		StrictDRC:  *drcCheck,
-		CacheDir:   *cacheDir,
-	}
-	if *cacheMB > 0 {
-		opts.Cache = pipeline.NewCacheWithBudget(pipeline.Budget{MaxBytes: *cacheMB << 20})
+		Cache:      cli.NewCache(run.CacheMB),
+		CacheDir:   run.CacheDir,
 	}
 	b, err := core.NewSOCBench(s, opts)
 	if err != nil {
@@ -176,32 +150,21 @@ func main() {
 	// A -timeout deadline and Ctrl-C both cancel the sweep at batch
 	// granularity: in-flight batches drain and the contiguous prefix of
 	// diagnosed faults is reported as a partial study.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
+	ctx, stop := cli.SignalContext(run.Timeout)
 	defer stop()
 
 	sample := sim.SampleFaults(b.CoreFaults(faultyCore), *faults, *seed)
 	var study *core.Study
 	var runErr error
-	if *connect != "" {
+	if remote.Connect != "" {
 		// Sharded run: per-fault verdicts and study aggregates are merged
 		// slot-major from the workers' deltas, bit-identical to the
 		// in-process sweep, so stdout below does not depend on -connect.
-		conns, err := shard.DialAll(ctx, strings.Split(*connect, ","))
+		co, hangUp, err := remote.Dial(ctx)
 		if err != nil {
 			fatal(err)
 		}
-		defer func() {
-			for _, wc := range conns {
-				wc.Close()
-			}
-		}()
-		co := &shard.Coordinator{Conns: conns, Shards: *shards}
+		defer hangUp()
 		cc := s.Cores[faultyCore].Circuit
 		study, runErr = co.RunSOCCore(ctx, shard.SOCRef(presetName, s), faultyCore, opts, sample,
 			shard.StuckAtCosts(cc, sample), nil)
@@ -227,7 +190,7 @@ func main() {
 	}
 	// Cache traffic goes to stderr so warm and cold runs keep identical
 	// stdout.
-	if *cacheDir != "" {
+	if run.CacheDir != "" {
 		fmt.Fprintf(os.Stderr, "socdiag: %s\n", b.Opts.Cache.Stats())
 	}
 }

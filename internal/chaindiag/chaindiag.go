@@ -199,6 +199,37 @@ func Diagnose(c *circuit.Circuit, order []int, observed func(pattern, pi []uint8
 	return cands, nil
 }
 
+// Outcome is one injection's diagnosis accuracy: whether the injected
+// fault is among the candidates, whether it is the only one, and the
+// candidate count.
+type Outcome struct {
+	Located bool
+	Exact   bool
+	Cands   int
+}
+
+// Inject plants injection i of the position sweep — ChainFault{Position:
+// i/2, Stuck: i%2} — in a device scanned in order and diagnoses it.
+func Inject(c *circuit.Circuit, order []int, i int) (Outcome, error) {
+	truth := ChainFault{Position: i / 2, Stuck: uint8(i % 2)}
+	dut, err := NewDevice(c, order, &truth)
+	if err != nil {
+		return Outcome{}, err
+	}
+	cands, err := Diagnose(c, order, dut.LoadCaptureObserve)
+	if err != nil {
+		return Outcome{}, err
+	}
+	out := Outcome{Cands: len(cands)}
+	for _, cand := range cands {
+		if cand.Fault != nil && *cand.Fault == truth {
+			out.Located, out.Exact = true, len(cands) == 1
+			break
+		}
+	}
+	return out, nil
+}
+
 func equal(a, b []uint8) bool {
 	if len(a) != len(b) {
 		return false

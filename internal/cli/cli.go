@@ -1,8 +1,9 @@
-// Package cli holds the helpers the command-line tools share: flag
-// validation, scheme and circuit lookup, the design-rule report and the
-// heap profile. Helpers that print take the program name that prefixes
-// their diagnostics, and none exits: each command keeps its own exit
-// codes.
+// Package cli holds the helpers the command-line tools share: the run
+// harness (the shared run and shard flags with their checks, profiling,
+// cancellation, the artifact cache and worker dialing), scheme and
+// circuit lookup, and the design-rule report. Helpers that print take
+// the program name that prefixes their diagnostics, and none exits:
+// each command keeps its own exit codes.
 package cli
 
 import (

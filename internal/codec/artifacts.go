@@ -68,32 +68,6 @@ func decodeLayerBody(r *reader, c *circuit.Circuit) *sim.FaultSim {
 	return fs
 }
 
-// EncodeSimLayer serializes the fault-free simulation layer of fs: the
-// per-block net-value rows, from which the pattern blocks and good
-// captured responses are re-derived on decode.
-func EncodeSimLayer(fs *sim.FaultSim) []byte {
-	w := &writer{}
-	stampCircuit(w, fs.Circuit())
-	encodeLayerBody(w, fs)
-	return seal(KindSimLayer, VersionSimLayer, w.b)
-}
-
-// DecodeSimLayer reconstructs a fault-free simulation layer for c,
-// bit-for-bit identical to the FaultSim that was encoded.
-func DecodeSimLayer(c *circuit.Circuit, data []byte) (*sim.FaultSim, error) {
-	payload, err := open(data, KindSimLayer, VersionSimLayer)
-	if err != nil {
-		return nil, err
-	}
-	r := &reader{b: payload}
-	checkCircuitStamp(r, c)
-	fs := decodeLayerBody(r, c)
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
 // EncodeCones snapshots every memoized fault-site cone of c, returning
 // the sealed artifact and the number of cones it carries. Iteration is in
 // site order, so equal memoization states encode to equal bytes.

@@ -34,7 +34,10 @@ import (
 type Kind uint16
 
 const (
-	// KindSimLayer is a fault-free simulation layer (per-block net values).
+	// KindSimLayer was the one-circuit fault-free simulation layer. No
+	// code writes it any more (a circuit's layer is its one-core SOC's
+	// KindSOCSimLayer); it keeps its number so later kinds do not shift
+	// and old store entries still inspect by name.
 	KindSimLayer Kind = 1 + iota
 	// KindCones is a snapshot of memoized fault-site cones.
 	KindCones
@@ -84,7 +87,6 @@ func (k Kind) String() string {
 // whenever its payload layout changes; decoders reject other versions, so
 // stale disk entries simply miss and rebuild.
 const (
-	VersionSimLayer    uint16 = 1
 	VersionCones       uint16 = 1
 	VersionSOCSimLayer uint16 = 1
 	// VersionBatchPlan 2 (wide-word kernel): the payload gains the plan's
@@ -94,12 +96,13 @@ const (
 	VersionBatchPlan uint16 = 2
 	// The shard protocol messages share one wire revision: a coordinator
 	// and worker either speak the same protocol or refuse each other at
-	// the first frame.
-	VersionShardHello    uint16 = 1
-	VersionShardJob      uint16 = 1
-	VersionShardResult   uint16 = 1
-	VersionShardError    uint16 = 1
-	VersionShardProgress uint16 = 1
+	// the first frame. Revision 2 has one stuck-at job kind (a circuit is
+	// core 0 of its one-core SOC) and retires job kind 1.
+	VersionShardHello    uint16 = 2
+	VersionShardJob      uint16 = 2
+	VersionShardResult   uint16 = 2
+	VersionShardError    uint16 = 2
+	VersionShardProgress uint16 = 2
 )
 
 const (

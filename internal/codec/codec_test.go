@@ -2,7 +2,6 @@ package codec_test
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -83,16 +82,18 @@ func TestSimLayerRoundTrip(t *testing.T) {
 		{"s953", 100}, // two blocks, second partial
 	} {
 		c := mustGen(t, tc.name)
-		fs := sim.NewFaultSim(c, genBlocks(c, tc.patterns))
-		data := codec.EncodeSimLayer(fs)
+		s := soc.OfCircuit(c)
+		sfs := circuitLayer(t, s, tc.patterns)
+		data := codec.EncodeSOCSimLayer(sfs)
 
-		fs2, err := codec.DecodeSimLayer(c, data)
+		sfs2, err := codec.DecodeSOCSimLayer(s, data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
-		if again := codec.EncodeSimLayer(fs2); !bytes.Equal(again, data) {
+		if again := codec.EncodeSOCSimLayer(sfs2); !bytes.Equal(again, data) {
 			t.Fatalf("%s: re-encode differs from original (%d vs %d bytes)", tc.name, len(again), len(data))
 		}
+		fs, fs2 := sfs.CoreSims()[0], sfs2.CoreSims()[0]
 		if fs2.NumPatterns() != fs.NumPatterns() {
 			t.Fatalf("%s: decoded %d patterns, want %d", tc.name, fs2.NumPatterns(), fs.NumPatterns())
 		}
@@ -104,11 +105,23 @@ func TestSimLayerRoundTrip(t *testing.T) {
 	}
 }
 
+// circuitLayer simulates the fault-free layer of a circuit's one-core
+// device over patterns pseudorandom patterns.
+func circuitLayer(t testing.TB, s *soc.SOC, patterns int) *soc.FaultSim {
+	t.Helper()
+	c := s.Cores[0].Circuit
+	fs, err := soc.NewFaultSim(s, [][]*sim.Block{genBlocks(c, patterns)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 func TestSimLayerRejectsWrongCircuit(t *testing.T) {
 	c := mustGen(t, "s298")
-	data := codec.EncodeSimLayer(sim.NewFaultSim(c, genBlocks(c, 64)))
+	data := codec.EncodeSOCSimLayer(circuitLayer(t, soc.OfCircuit(c), 64))
 	other := mustGen(t, "s953")
-	if _, err := codec.DecodeSimLayer(other, data); err == nil {
+	if _, err := codec.DecodeSOCSimLayer(soc.OfCircuit(other), data); err == nil {
 		t.Fatal("decoding an s298 layer against s953 succeeded")
 	} else if !strings.Contains(err.Error(), "s298") {
 		t.Fatalf("error does not name the stamped circuit: %v", err)
@@ -310,13 +323,7 @@ func TestBatchPlanRejectsWrongCircuit(t *testing.T) {
 func TestBatchPlanRejectsStaleVersion(t *testing.T) {
 	c := mustGen(t, "s298")
 	p := sim.PlanBatches(c, sim.CollapseFaults(c, sim.FullFaultList(c)), sim.BatchOptions{})
-	data := append([]byte(nil), codec.EncodeBatchPlan(c, p)...)
-	data[6], data[7] = 1, 0 // format version, little-endian
-	sum := sha256.Sum256(data[:len(data)-sha256.Size])
-	copy(data[len(data)-sha256.Size:], sum[:])
-	if h, err := codec.Inspect(data); err != nil || h.Version != 1 {
-		t.Fatalf("forged v1 envelope should inspect cleanly, got version %d, err %v", h.Version, err)
-	}
+	data := forgeVersion(t, codec.EncodeBatchPlan(c, p), 1)
 	_, err := codec.DecodeBatchPlan(c, data)
 	if err == nil {
 		t.Fatal("decoding a version-1 batch plan succeeded")
@@ -339,12 +346,12 @@ func cloneResult(res *sim.Result) *sim.Result {
 
 func TestInspect(t *testing.T) {
 	c := mustGen(t, "s298")
-	data := codec.EncodeSimLayer(sim.NewFaultSim(c, genBlocks(c, 64)))
+	data := codec.EncodeSOCSimLayer(circuitLayer(t, soc.OfCircuit(c), 64))
 	h, err := codec.Inspect(data)
 	if err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
-	if h.Kind != codec.KindSimLayer || h.Version != codec.VersionSimLayer {
+	if h.Kind != codec.KindSOCSimLayer || h.Version != codec.VersionSOCSimLayer {
 		t.Fatalf("inspect reports %v v%d", h.Kind, h.Version)
 	}
 	if h.PayloadLen != len(data)-48 {
@@ -363,7 +370,7 @@ func TestInspect(t *testing.T) {
 // structurally, payload and trailer flips fail the sha256.
 func TestCorruptionDetected(t *testing.T) {
 	c := mustGen(t, "s298")
-	fs := sim.NewFaultSim(c, genBlocks(c, 64))
+	cs := soc.OfCircuit(c)
 	faults := sim.CollapseFaults(c, sim.FullFaultList(c))
 	cones, _ := codec.EncodeCones(memoized(c, faults))
 	s := testSOC(t)
@@ -378,8 +385,8 @@ func TestCorruptionDetected(t *testing.T) {
 		data   []byte
 		decode func([]byte) error
 	}{
-		{"sim-layer", codec.EncodeSimLayer(fs), func(d []byte) error {
-			_, err := codec.DecodeSimLayer(c, d)
+		{"sim-layer", codec.EncodeSOCSimLayer(circuitLayer(t, cs, 64)), func(d []byte) error {
+			_, err := codec.DecodeSOCSimLayer(cs, d)
 			return err
 		}},
 		{"cones", cones, func(d []byte) error {

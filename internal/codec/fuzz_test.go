@@ -19,15 +19,17 @@ import (
 var fuzzEnv struct {
 	once sync.Once
 	c    *circuit.Circuit
+	cs   *soc.SOC // c as its one-core device
 	s    *soc.SOC
 }
 
-func fuzzSetup(t testing.TB) (*circuit.Circuit, *soc.SOC) {
+func fuzzSetup(t testing.TB) (*circuit.Circuit, *soc.SOC, *soc.SOC) {
 	fuzzEnv.once.Do(func() {
 		fuzzEnv.c = mustGen(t, "s298")
+		fuzzEnv.cs = soc.OfCircuit(fuzzEnv.c)
 		fuzzEnv.s = testSOC(t)
 	})
-	return fuzzEnv.c, fuzzEnv.s
+	return fuzzEnv.c, fuzzEnv.cs, fuzzEnv.s
 }
 
 // FuzzCodecRoundTrip drives arbitrary bytes at every decoder. The
@@ -36,8 +38,7 @@ func fuzzSetup(t testing.TB) (*circuit.Circuit, *soc.SOC) {
 // third outcome where corrupted bytes decode into a silently different
 // artifact. Panics anywhere are failures.
 func FuzzCodecRoundTrip(f *testing.F) {
-	c, s := fuzzSetup(f)
-	fs := sim.NewFaultSim(c, genBlocks(c, 64))
+	c, cs, s := fuzzSetup(f)
 	faults := sim.CollapseFaults(c, sim.FullFaultList(c))
 	for _, fl := range faults[:10] {
 		c.Cone(fl.Net)
@@ -51,7 +52,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	// One pristine seed per artifact kind, plus targeted mutants: bytes
 	// the fuzzer would take a long time to discover are seeded directly.
 	seeds := [][]byte{
-		codec.EncodeSimLayer(fs),
+		codec.EncodeSOCSimLayer(circuitLayer(f, cs, 64)),
 		codec.EncodeSOCSimLayer(sfs),
 		codec.EncodeBatchPlan(c, sim.PlanBatches(c, faults, sim.BatchOptions{})),
 		codec.EncodeBatchPlan(c, sim.PlanBatches(c, faults, sim.BatchOptions{MaxLanes: 5, ScanOrder: true})),
@@ -75,18 +76,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		h, err := codec.Inspect(data)
 		if err != nil {
 			// Rejected envelopes must be rejected by every decoder too.
-			if _, derr := codec.DecodeSimLayer(c, data); derr == nil {
-				t.Fatal("DecodeSimLayer accepted an envelope Inspect rejects")
+			if _, derr := codec.DecodeSOCSimLayer(cs, data); derr == nil {
+				t.Fatal("DecodeSOCSimLayer accepted an envelope Inspect rejects")
 			}
 			return
 		}
 		switch h.Kind {
-		case codec.KindSimLayer:
-			if got, err := codec.DecodeSimLayer(c, data); err == nil {
-				if !bytes.Equal(codec.EncodeSimLayer(got), data) {
-					t.Fatal("sim layer: decode succeeded but re-encode differs")
-				}
-			}
 		case codec.KindCones:
 			fresh := mustGen(t, "s298")
 			if n, err := codec.DecodeCones(fresh, data); err == nil {
@@ -96,9 +91,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				}
 			}
 		case codec.KindSOCSimLayer:
-			if got, err := codec.DecodeSOCSimLayer(s, data); err == nil {
-				if !bytes.Equal(codec.EncodeSOCSimLayer(got), data) {
-					t.Fatal("soc sim layer: decode succeeded but re-encode differs")
+			for _, dev := range []*soc.SOC{cs, s} {
+				if got, err := codec.DecodeSOCSimLayer(dev, data); err == nil {
+					if !bytes.Equal(codec.EncodeSOCSimLayer(got), data) {
+						t.Fatal("soc sim layer: decode succeeded but re-encode differs")
+					}
 				}
 			}
 		case codec.KindBatchPlan:
@@ -110,8 +107,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		default:
 			// Unknown kind with a valid envelope: every typed decoder must
 			// refuse it.
-			if _, err := codec.DecodeSimLayer(c, data); err == nil {
-				t.Fatal("DecodeSimLayer accepted an artifact of another kind")
+			if _, err := codec.DecodeSOCSimLayer(cs, data); err == nil {
+				t.Fatal("DecodeSOCSimLayer accepted an artifact of another kind")
 			}
 		}
 	})

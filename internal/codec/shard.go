@@ -101,13 +101,14 @@ type WireKnobs struct {
 // site is a compile-time-silent, analyzer-loud mistake.
 type JobKind uint8
 
-// Shard job kinds: which diagnosis flow the worker runs.
+// Shard job kinds: which diagnosis flow the worker runs. Wire byte 1,
+// the circuit-only stuck-at job of protocol revision 1, is retired and
+// rejected.
 const (
-	// JobCircuit diagnoses stuck-at faults on a full-scan circuit.
-	JobCircuit JobKind = 1
-	// JobSOCCore diagnoses stuck-at faults in one core of an SOC through
-	// its meta chains.
-	JobSOCCore JobKind = 2
+	// JobStuckAt diagnoses stuck-at faults in one core of a device
+	// through its scan chains; a full-scan circuit is core 0 of its
+	// one-core SOC.
+	JobStuckAt JobKind = 2
 	// JobChain injects shift-path faults (position i/2, stuck i%2 per
 	// index) and reports location accuracy.
 	JobChain JobKind = 3
@@ -136,14 +137,14 @@ type ShardJob struct {
 	ID     uint64
 	Kind   JobKind
 	Device DeviceRef
-	Core   int32 // JobSOCCore: core index; -1 otherwise
+	Core   int32 // JobStuckAt: core index; -1 otherwise
 	Spec   WireSpec
 	Knobs  WireKnobs
 	// FaultHash is the content hash of the *global* fault list
 	// (pipeline.FaultSetHash) — the job's tie to the coordinator's fault
 	// universe, logged and echoed rather than recomputed per shard.
 	FaultHash string
-	Faults    []WireFault           // JobCircuit, JobSOCCore
+	Faults    []WireFault           // JobStuckAt
 	TFaults   []WireTransitionFault // JobTransition
 	Indices   []uint32              // global indices; JobChain uses these alone
 }
@@ -190,7 +191,7 @@ type ShardResult struct {
 	// coordinator can aggregate scheduler-saturation metrics.
 	PlanBatches uint32
 	LaneCap     uint32
-	Diagnoses   []WireDiagnosis    // JobCircuit, JobSOCCore, JobTransition
+	Diagnoses   []WireDiagnosis    // JobStuckAt, JobTransition
 	Chains      []WireChainOutcome // JobChain
 }
 
@@ -516,11 +517,11 @@ func DecodeShardJob(data []byte) (*ShardJob, error) {
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("codec: shard job: %w", err)
 	}
-	if j.Kind < JobCircuit || j.Kind > JobTransition {
+	if j.Kind < JobStuckAt || j.Kind > JobTransition {
 		return nil, fmt.Errorf("codec: shard job: unknown job kind %d", j.Kind)
 	}
 	switch j.Kind {
-	case JobCircuit, JobSOCCore:
+	case JobStuckAt:
 		if len(j.Indices) != len(j.Faults) || len(j.TFaults) != 0 {
 			return nil, fmt.Errorf("codec: shard job: %d indices for %d stuck-at faults (+%d transition)",
 				len(j.Indices), len(j.Faults), len(j.TFaults))
@@ -536,8 +537,8 @@ func DecodeShardJob(data []byte) (*ShardJob, error) {
 				len(j.Faults), len(j.TFaults))
 		}
 	}
-	if j.Kind == JobSOCCore && j.Core < 0 {
-		return nil, fmt.Errorf("codec: shard job: SOC job with core %d", j.Core)
+	if j.Kind == JobStuckAt && j.Core < 0 {
+		return nil, fmt.Errorf("codec: shard job: stuck-at job with core %d", j.Core)
 	}
 	return &j, nil
 }
@@ -571,7 +572,7 @@ func DecodeShardResult(data []byte) (*ShardResult, error) {
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("codec: shard result: %w", err)
 	}
-	if res.Kind < JobCircuit || res.Kind > JobTransition {
+	if res.Kind < JobStuckAt || res.Kind > JobTransition {
 		return nil, fmt.Errorf("codec: shard result: unknown job kind %d", res.Kind)
 	}
 	return &res, nil

@@ -2,8 +2,10 @@ package codec_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -12,7 +14,7 @@ import (
 func sampleShardJob() *codec.ShardJob {
 	return &codec.ShardJob{
 		ID:   7,
-		Kind: codec.JobSOCCore,
+		Kind: codec.JobStuckAt,
 		Device: codec.DeviceRef{
 			Kind: codec.DeviceSOC, Name: "socmini", Fingerprint: "abc123",
 		},
@@ -64,6 +66,15 @@ func TestShardWireRoundTrip(t *testing.T) {
 		t.Fatalf("job:\nwant %+v\ngot  %+v", job, gotJob)
 	}
 
+	cjob := circuitShardJob()
+	gotC0, err := codec.DecodeShardJob(codec.EncodeShardJob(cjob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cjob, gotC0) {
+		t.Fatalf("circuit job:\nwant %+v\ngot  %+v", cjob, gotC0)
+	}
+
 	tjob := &codec.ShardJob{
 		ID: 8, Kind: codec.JobTransition,
 		Device: codec.DeviceRef{Kind: codec.DeviceProfile, Name: "s953", Scale: 1, Fingerprint: "ff"},
@@ -83,7 +94,7 @@ func TestShardWireRoundTrip(t *testing.T) {
 	}
 
 	res := &codec.ShardResult{
-		JobID: 7, Kind: codec.JobSOCCore, PlanBatches: 3, LaneCap: 64,
+		JobID: 7, Kind: codec.JobStuckAt, PlanBatches: 3, LaneCap: 64,
 		Diagnoses: []codec.WireDiagnosis{
 			{
 				Index: 10, Detected: true,
@@ -146,16 +157,80 @@ func TestShardJobValidation(t *testing.T) {
 	if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
 		t.Error("index/fault count mismatch accepted")
 	}
-	bad = sampleShardJob()
-	bad.Core = -1
-	if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
-		t.Error("SOC job without a core accepted")
+	for _, job := range []*codec.ShardJob{sampleShardJob(), circuitShardJob()} {
+		bad = job
+		bad.Core = -1
+		if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
+			t.Errorf("device kind %d: stuck-at job without a core accepted", bad.Device.Kind)
+		}
 	}
-	bad = sampleShardJob()
-	bad.Kind = 99
-	if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
-		t.Error("unknown job kind accepted")
+	for _, kind := range []codec.JobKind{0, 1, 99} {
+		bad = circuitShardJob()
+		bad.Kind = kind
+		if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
+			t.Errorf("job kind %d accepted", kind)
+		}
 	}
+}
+
+// circuitShardJob is a stuck-at job on a full-scan circuit: the
+// circuit's one-core device, core 0.
+func circuitShardJob() *codec.ShardJob {
+	return &codec.ShardJob{
+		ID:   3,
+		Kind: codec.JobStuckAt,
+		Device: codec.DeviceRef{
+			Kind: codec.DeviceProfile, Name: "s953", Scale: 1, Fingerprint: "ff",
+		},
+		Core:      0,
+		Spec:      codec.WireSpec{Scheme: codec.WireScheme{Kind: codec.SchemeFixed}, Groups: 4, Partitions: 8, Patterns: 128, ScanOrder: []uint32{1, 0}},
+		FaultHash: "cafe",
+		Faults:    []codec.WireFault{{Net: 4, Gate: -1, Pin: 0, Stuck: 0}},
+		Indices:   []uint32{5},
+	}
+}
+
+// TestShardRejectsRevision1 forges intact revision-1 frames of every
+// shard message: each decoder refuses them, so peers of different
+// protocol revisions refuse each other at the hello.
+func TestShardRejectsRevision1(t *testing.T) {
+	for _, tc := range []struct {
+		env    []byte
+		decode func([]byte) error
+	}{
+		{codec.EncodeShardHello(&codec.ShardHello{Node: "w"}), func(d []byte) error { _, err := codec.DecodeShardHello(d); return err }},
+		{codec.EncodeShardJob(circuitShardJob()), func(d []byte) error { _, err := codec.DecodeShardJob(d); return err }},
+		{codec.EncodeShardResult(&codec.ShardResult{JobID: 1, Kind: codec.JobStuckAt}), func(d []byte) error { _, err := codec.DecodeShardResult(d); return err }},
+		{codec.EncodeShardError(&codec.ShardError{JobID: 1, Msg: "x"}), func(d []byte) error { _, err := codec.DecodeShardError(d); return err }},
+		{codec.EncodeShardProgress(&codec.ShardProgress{JobID: 1, Done: 1, Total: 2}), func(d []byte) error { _, err := codec.DecodeShardProgress(d); return err }},
+	} {
+		if err := tc.decode(tc.env); err != nil {
+			t.Fatalf("pristine frame rejected: %v", err)
+		}
+		old := forgeVersion(t, tc.env, 1)
+		err := tc.decode(old)
+		if err == nil {
+			h, _ := codec.Inspect(old)
+			t.Fatalf("revision-1 %s frame accepted", h.Kind)
+		}
+		if !strings.Contains(err.Error(), "version") {
+			t.Fatalf("rejection should name the version mismatch, got: %v", err)
+		}
+	}
+}
+
+// forgeVersion rewrites an envelope's format version and reseals it, so
+// the result inspects cleanly and only the version differs.
+func forgeVersion(t *testing.T, env []byte, version uint16) []byte {
+	t.Helper()
+	data := append([]byte(nil), env...)
+	data[6], data[7] = byte(version), byte(version>>8) // little-endian
+	sum := sha256.Sum256(data[:len(data)-sha256.Size])
+	copy(data[len(data)-sha256.Size:], sum[:])
+	if h, err := codec.Inspect(data); err != nil || h.Version != version {
+		t.Fatalf("forged v%d envelope should inspect cleanly, got version %d, err %v", version, h.Version, err)
+	}
+	return data
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -222,8 +297,9 @@ func FuzzShardFrame(f *testing.F) {
 	}
 	seed(codec.EncodeShardHello(&codec.ShardHello{Node: "w", Pid: 1, Workers: 2, CacheDir: "/c"}))
 	seed(codec.EncodeShardJob(sampleShardJob()))
+	seed(codec.EncodeShardJob(circuitShardJob()))
 	seed(codec.EncodeShardResult(&codec.ShardResult{
-		JobID: 1, Kind: codec.JobCircuit,
+		JobID: 1, Kind: codec.JobStuckAt,
 		Diagnoses: []codec.WireDiagnosis{{Index: 0, Detected: true, Actual: []uint32{1}, ByPartition: []uint32{1}, Observed: 1, Scheduled: 1}},
 	}))
 	seed(codec.EncodeShardError(&codec.ShardError{JobID: 1, Transient: true, Msg: "x"}))

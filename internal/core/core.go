@@ -336,6 +336,10 @@ func NewCircuitBench(c *circuit.Circuit, opts Options) (*CircuitBench, error) {
 	return &CircuitBench{Circuit: c, Opts: dev.Opts, dev: dev}, nil
 }
 
+// Device returns the one-core SOC bench the circuit runs as; its core 0
+// is the circuit.
+func (b *CircuitBench) Device() *SOCBench { return b.dev }
+
 // Engine exposes the underlying BIST engine (partitions, signatures).
 func (b *CircuitBench) Engine() *bist.Engine { return b.dev.Engine() }
 

@@ -25,8 +25,7 @@ type Stats struct {
 	Evictions int
 	// EvictedBytes is the total estimated cost of evicted entries.
 	EvictedBytes int64
-	// PlanHits/PlanMisses track compiled batch-plan lookups (see Plan and
-	// TransitionPlan).
+	// PlanHits/PlanMisses track compiled batch-plan lookups (see Plan).
 	PlanHits   int
 	PlanMisses int
 	// Disk-tier counters, all zero when no BlobStore is attached.

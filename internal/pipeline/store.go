@@ -311,20 +311,6 @@ func hashFaults(faults []sim.Fault) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-func hashTransitionFaults(faults []sim.TransitionFault) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, f := range faults {
-		binary.LittleEndian.PutUint32(buf[0:], uint32(f.Net))
-		buf[4], buf[5], buf[6], buf[7] = 0, 0, 0, 0
-		if f.SlowToRise {
-			buf[4] = 1
-		}
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
 // planKey is the self-describing content key of a compiled plan. Beyond
 // the circuit fingerprint and fault-list hash it carries every knob that
 // shapes the compiled record streams: the lane cap, the plane-group word
@@ -358,20 +344,6 @@ func planCoversFaults(p *sim.BatchPlan, faults []sim.Fault, laneCap int) bool {
 	return true
 }
 
-func planCoversTransitionFaults(p *sim.BatchPlan, faults []sim.TransitionFault, laneCap int) bool {
-	if p.Kind() != sim.BatchTransition || p.NumFaults() != len(faults) || p.LaneCap() != laneCap {
-		return false
-	}
-	for _, cb := range p.Batches {
-		for k, i := range cb.Index {
-			if cb.TFaults[k] != faults[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Plan returns the compiled batch plan for (circuit, fault list, options),
 // building at most once per content key. Tiering mirrors the simulation
 // layer: memory LRU, then the disk tier (decode, validate exhaustively,
@@ -397,33 +369,6 @@ func (c *ArtifactCache) Plan(ct *circuit.Circuit, faults []sim.Fault, opt sim.Ba
 			c.diskCorrupt(key)
 		}
 		p := sim.PlanBatches(ct, faults, opt)
-		e.val = p
-		c.setCost(e.node, p.MemoryFootprint())
-		c.diskWrite(key, func() []byte { return codec.EncodeBatchPlan(ct, p) })
-		c.saveCones(ct)
-	})
-	return e.val
-}
-
-// TransitionPlan is Plan for transition-fault sweeps.
-func (c *ArtifactCache) TransitionPlan(ct *circuit.Circuit, faults []sim.TransitionFault, opt sim.BatchOptions) *sim.BatchPlan {
-	if c == nil {
-		return sim.PlanTransitionBatches(ct, faults, opt)
-	}
-	key := planKey(c.fingerprint(ct), sim.BatchTransition, len(faults), hashTransitionFaults(faults), opt)
-	e := lookup(c, &c.plans, kindPlan, key, &c.stats.PlanHits, &c.stats.PlanMisses)
-	e.once.Do(func() {
-		c.loadCones(ct)
-		if data, ok := c.diskFetch(key); ok {
-			if p, err := codec.DecodeBatchPlan(ct, data); err == nil && planCoversTransitionFaults(p, faults, planLanes(opt)) {
-				c.notePromotion()
-				e.val = p
-				c.setCost(e.node, p.MemoryFootprint())
-				return
-			}
-			c.diskCorrupt(key)
-		}
-		p := sim.PlanTransitionBatches(ct, faults, opt)
 		e.val = p
 		c.setCost(e.node, p.MemoryFootprint())
 		c.diskWrite(key, func() []byte { return codec.EncodeBatchPlan(ct, p) })

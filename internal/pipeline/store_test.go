@@ -262,15 +262,6 @@ func TestWarmStartPlanAndCones(t *testing.T) {
 		}
 	})
 
-	// TransitionPlan shares the tier.
-	tf := sim.TransitionFaultList(c1)
-	tp1 := cold.TransitionPlan(c1, tf, opt)
-	warm2 := NewCache()
-	attachDir(t, warm2, dir)
-	tp2 := warm2.TransitionPlan(c2, sim.TransitionFaultList(c2), opt)
-	if warm2.Stats().DiskHits == 0 || tp2.NumFaults() != tp1.NumFaults() {
-		t.Errorf("transition plan warm start: stats %+v", warm2.Stats())
-	}
 }
 
 // corruptEntryFile flips one payload byte of the on-disk entry for key,

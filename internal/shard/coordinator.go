@@ -192,7 +192,7 @@ func (p *dispatchPool) RunJob(ctx context.Context, i int) error {
 		return errAllWorkersDead
 	}
 	job := p.jobs[i]
-	p.co.progress("worker %s: shard %d (%d faults)", wc.Node(), job.ID, shardLen(job))
+	p.co.progress("worker %s: shard %d (%d faults)", wc.Node(), job.ID, len(job.Indices))
 	res, connOK, err := p.exchange(ctx, wc, job)
 	if err == nil {
 		if verr := validateResult(job, res); verr != nil {
@@ -213,9 +213,6 @@ func (p *dispatchPool) RunJob(ctx context.Context, i int) error {
 	p.results[i] = res
 	return nil
 }
-
-// shardLen reports how many work units a job carries, for progress.
-func shardLen(job *codec.ShardJob) int { return len(job.Indices) }
 
 // exchange runs one job round trip on wc: send the job, consume
 // progress frames, return the result or error frame. connOK reports

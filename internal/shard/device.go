@@ -54,81 +54,85 @@ func SOCRef(preset string, s *soc.SOC) codec.DeviceRef {
 	}
 }
 
-// deviceRegistry memoizes resolved devices by fingerprint. Stable
-// pointers matter beyond speed: the worker's ArtifactCache memoizes
-// per-circuit artifacts by pointer identity, so every job against the
-// same device must see the same *circuit.Circuit.
+// deviceRegistry memoizes resolved devices by fingerprint. A circuit
+// ref resolves to the one-core SOC of soc.OfCircuit, so every device is
+// an SOC. Stable pointers matter beyond speed: the worker's
+// ArtifactCache memoizes per-circuit fingerprints by pointer identity,
+// so every job against the same device must see the same
+// *circuit.Circuit.
 type deviceRegistry struct {
-	mu       sync.Mutex
-	circuits map[string]*circuit.Circuit
-	socs     map[string]*soc.SOC
+	mu      sync.Mutex
+	devices map[string]*soc.SOC
 }
 
 func newDeviceRegistry() *deviceRegistry {
-	return &deviceRegistry{
-		circuits: make(map[string]*circuit.Circuit),
-		socs:     make(map[string]*soc.SOC),
-	}
+	return &deviceRegistry{devices: make(map[string]*soc.SOC)}
 }
 
-// resolveCircuit rebuilds (or recalls) the circuit a ref names and
-// verifies its fingerprint. Mismatches are permanent errors: retrying
-// on another worker built from the same binary cannot help.
-func (reg *deviceRegistry) resolveCircuit(ref codec.DeviceRef) (*circuit.Circuit, error) {
+// resolve rebuilds (or recalls) the device a ref names and verifies its
+// fingerprint. Mismatches are permanent errors: retrying on another
+// worker built from the same binary cannot help.
+func (reg *deviceRegistry) resolve(ref codec.DeviceRef) (*soc.SOC, error) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	if c, ok := reg.circuits[ref.Fingerprint]; ok {
-		return c, nil
+	if s, ok := reg.devices[ref.Fingerprint]; ok {
+		return s, nil
 	}
-	var c *circuit.Circuit
-	var err error
+	var s *soc.SOC
+	var got string
 	switch ref.Kind {
-	case codec.DeviceProfile:
-		p, ok := benchgen.ProfileByName(ref.Name)
-		if !ok {
-			return nil, fmt.Errorf("shard: unknown benchgen profile %q", ref.Name)
+	case codec.DeviceProfile, codec.DeviceBenchFile:
+		c, err := buildCircuit(ref)
+		if err != nil {
+			return nil, fmt.Errorf("shard: resolving device %q: %w", ref.Name, err)
 		}
-		if ref.Seed != 0 {
-			p.Seed = ref.Seed
+		s, got = soc.OfCircuit(c), pipeline.CircuitFingerprint(c)
+	case codec.DeviceSOC:
+		var err error
+		if s, err = soc.Preset(ref.Name); err != nil {
+			return nil, fmt.Errorf("shard: resolving SOC preset %q: %w", ref.Name, err)
 		}
-		if ref.Scale > 1 {
-			p = p.Scale(int(ref.Scale))
-		}
-		c, err = benchgen.Generate(p)
-	case codec.DeviceBenchFile:
-		c, err = bench.ParseFile(ref.Name)
+		got = pipeline.SOCFingerprint(s)
 	default:
-		return nil, fmt.Errorf("shard: device kind %d is not a circuit", ref.Kind)
+		return nil, fmt.Errorf("shard: unknown device kind %d", ref.Kind)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("shard: resolving device %q: %w", ref.Name, err)
-	}
-	if got := pipeline.CircuitFingerprint(c); got != ref.Fingerprint {
+	if got != ref.Fingerprint {
 		return nil, fmt.Errorf("shard: device %q fingerprint mismatch: coordinator %s, worker %s",
 			ref.Name, ref.Fingerprint, got)
 	}
-	reg.circuits[ref.Fingerprint] = c
-	return c, nil
+	reg.devices[ref.Fingerprint] = s
+	return s, nil
 }
 
-// resolveSOC mirrors resolveCircuit for SOC presets.
-func (reg *deviceRegistry) resolveSOC(ref codec.DeviceRef) (*soc.SOC, error) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if s, ok := reg.socs[ref.Fingerprint]; ok {
-		return s, nil
+// buildCircuit rebuilds the circuit a profile or bench-file ref names.
+func buildCircuit(ref codec.DeviceRef) (*circuit.Circuit, error) {
+	if ref.Kind == codec.DeviceBenchFile {
+		return bench.ParseFile(ref.Name)
 	}
-	if ref.Kind != codec.DeviceSOC {
-		return nil, fmt.Errorf("shard: device kind %d is not an SOC", ref.Kind)
+	p, ok := benchgen.ProfileByName(ref.Name)
+	if !ok {
+		return nil, fmt.Errorf("unknown benchgen profile %q", ref.Name)
 	}
-	s, err := soc.Preset(ref.Name)
+	if ref.Seed != 0 {
+		p.Seed = ref.Seed
+	}
+	if ref.Scale > 1 {
+		p = p.Scale(int(ref.Scale))
+	}
+	return benchgen.Generate(p)
+}
+
+// circuitOf resolves a profile or bench-file ref for the
+// circuit-only flows (transition and chain sweeps). It rejects an SOC
+// ref before the memo lookup, so a preset's fingerprint can never hand
+// back a multi-core device.
+func (reg *deviceRegistry) circuitOf(ref codec.DeviceRef) (*circuit.Circuit, error) {
+	if ref.Kind == codec.DeviceSOC {
+		return nil, fmt.Errorf("shard: device kind %d is not a circuit", ref.Kind)
+	}
+	s, err := reg.resolve(ref)
 	if err != nil {
-		return nil, fmt.Errorf("shard: resolving SOC preset %q: %w", ref.Name, err)
+		return nil, err
 	}
-	if got := pipeline.SOCFingerprint(s); got != ref.Fingerprint {
-		return nil, fmt.Errorf("shard: SOC preset %q fingerprint mismatch: coordinator %s, worker %s",
-			ref.Name, ref.Fingerprint, got)
-	}
-	reg.socs[ref.Fingerprint] = s
-	return s, nil
+	return s.Cores[0].Circuit, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/partition"
+	"repro/internal/scan"
 	"repro/internal/sim"
 	"repro/internal/soc"
 )
@@ -41,6 +42,13 @@ func TestShardEquivalenceCircuit(t *testing.T) {
 		{"interval-chains", func() core.Options {
 			o := testOpts(partition.FixedInterval{})
 			o.Chains = 4
+			return o
+		}()},
+		// A custom scan order is legal only on the circuit bench, so this
+		// is the one input where the worker's bench constructor matters.
+		{"reverse-order", func() core.Options {
+			o := testOpts(partition.TwoStep{})
+			o.ScanOrder = scan.ReverseOrder(c.NumDFFs())
 			return o
 		}()},
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
+	"repro/internal/chaindiag"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/partition"
@@ -21,30 +22,24 @@ import (
 // the per-fault results are bit-identical for every shard and worker
 // count; only wall-clock differs.
 
-// buildFaultJobs shards a stuck-at fault list and wraps each shard in a
-// wire job. IDs number jobs from baseID+1 so a multi-core run's jobs
-// stay distinct.
-func buildFaultJobs(kind codec.JobKind, ref codec.DeviceRef, coreIdx int32, spec codec.WireSpec, knobs codec.WireKnobs, faults []sim.Fault, costs []int, shards, baseID int) []*codec.ShardJob {
+// planJobs splits work units into cost-balanced shards and builds one
+// job per shard from proto, numbering IDs from baseID+1 so a multi-core
+// run's jobs stay distinct. payload, when non-nil, fills the job's
+// per-unit lists from the shard's global unit indices.
+func planJobs(proto codec.ShardJob, costs []int, shards, baseID int, payload func(job *codec.ShardJob, units []int)) []*codec.ShardJob {
 	plan := PlanShards(costs, shards)
 	jobs := make([]*codec.ShardJob, len(plan))
 	for j, sh := range plan {
-		sub := make([]sim.Fault, len(sh.Indices))
-		idx := make([]uint32, len(sh.Indices))
-		for k, fi := range sh.Indices {
-			sub[k] = faults[fi]
-			idx[k] = uint32(fi)
+		job := proto
+		job.ID = uint64(baseID + j + 1)
+		job.Indices = make([]uint32, len(sh.Indices))
+		for k, u := range sh.Indices {
+			job.Indices[k] = uint32(u)
 		}
-		jobs[j] = &codec.ShardJob{
-			ID:        uint64(baseID + j + 1),
-			Kind:      kind,
-			Device:    ref,
-			Core:      coreIdx,
-			Spec:      spec,
-			Knobs:     knobs,
-			FaultHash: pipeline.FaultSetHash(sub),
-			Faults:    faultsToWire(sub),
-			Indices:   idx,
+		if payload != nil {
+			payload(&job, sh.Indices)
 		}
+		jobs[j] = &job
 	}
 	return jobs
 }
@@ -79,44 +74,23 @@ func stampMerged(study *core.Study, batches int, capacity float64) {
 	}
 }
 
-// schemeName names a study the way the local sweep does; optionsToWire
-// has already rejected a nil scheme by the time this runs.
-func schemeName(s partition.Scheme) string {
-	if s == nil {
-		return ""
-	}
-	return s.Name()
+// RunCircuit runs the sharded equivalent of CircuitBench.RunObserved:
+// the circuit ref (ProfileRef or BenchFileRef) names a one-core device,
+// and the sweep is RunSOCCore on its core 0.
+func (c *Coordinator) RunCircuit(ctx context.Context, ref codec.DeviceRef, o core.Options, faults []sim.Fault, costs []int, observe func(*core.FaultDiagnosis)) (*core.Study, error) {
+	return c.RunSOCCore(ctx, ref, 0, o, faults, costs, observe)
 }
 
-// RunCircuit runs the sharded equivalent of CircuitBench.RunObserved:
+// RunSOCCore runs the sharded equivalent of one core's observed sweep:
 // the fault list is split into cost-balanced shards, each dispatched as
 // a compact descriptor (device ref + options + fault subset), and the
 // deltas are merged slot-major. costs weighs each fault for the planner
-// (StuckAtCosts; nil falls back to uniform). On a partial failure the
-// returned study aggregates the completed shards — a sound degraded
-// subset, Completeness recording the gap — alongside the error.
-func (c *Coordinator) RunCircuit(ctx context.Context, ref codec.DeviceRef, o core.Options, faults []sim.Fault, costs []int, observe func(*core.FaultDiagnosis)) (*core.Study, error) {
-	spec, knobs, err := optionsToWire(o)
-	if err != nil {
-		return nil, err
-	}
-	if costs == nil {
-		costs = UniformCosts(len(faults))
-	}
-	if len(costs) != len(faults) {
-		return nil, fmt.Errorf("shard: %d costs for %d faults", len(costs), len(faults))
-	}
-	jobs := buildFaultJobs(codec.JobCircuit, ref, -1, spec, knobs, faults, costs, c.shardCount(), 0)
-	results, runErr := c.run(ctx, jobs)
-	slots, batches, capacity := mergeDiagnoses(faults, results)
-	study := core.MergeObserved(o, schemeName(o.Scheme), slots, observe)
-	stampMerged(study, batches, capacity)
-	return study, runErr
-}
-
-// RunSOCCore is RunCircuit for one core of an SOC: the worker builds
-// the full SOC bench (TestRail, meta-chain) so verdicts match the
-// single-process SOC sweep, not a standalone-circuit sweep.
+// (StuckAtCosts; nil falls back to uniform). The worker builds the
+// bench the ref names — the full SOC (TestRail, meta chains) for a
+// preset, the circuit's one-core device for a circuit ref — so verdicts
+// match the single-process sweep. On a partial failure the returned
+// study aggregates the completed shards — a sound degraded subset,
+// Completeness recording the gap — alongside the error.
 func (c *Coordinator) RunSOCCore(ctx context.Context, ref codec.DeviceRef, coreIdx int, o core.Options, faults []sim.Fault, costs []int, observe func(*core.FaultDiagnosis)) (*core.Study, error) {
 	studies, err := c.RunSOC(ctx, ref, o, map[int][]sim.Fault{coreIdx: faults}, map[int][]int{coreIdx: costs}, func(_ int, fd *core.FaultDiagnosis) {
 		if observe != nil {
@@ -147,7 +121,6 @@ func (c *Coordinator) RunSOC(ctx context.Context, ref codec.DeviceRef, o core.Op
 	}
 	sort.Ints(cores)
 	var jobs []*codec.ShardJob
-	jobCore := make(map[uint64]int)
 	for _, ci := range cores {
 		faults := coreFaults[ci]
 		costs := coreCosts[ci]
@@ -157,11 +130,15 @@ func (c *Coordinator) RunSOC(ctx context.Context, ref codec.DeviceRef, o core.Op
 		if len(costs) != len(faults) {
 			return nil, fmt.Errorf("shard: core %d: %d costs for %d faults", ci, len(costs), len(faults))
 		}
-		coreJobs := buildFaultJobs(codec.JobSOCCore, ref, int32(ci), spec, knobs, faults, costs, c.shardCount(), len(jobs))
-		for _, j := range coreJobs {
-			jobCore[j.ID] = ci
-		}
-		jobs = append(jobs, coreJobs...)
+		proto := codec.ShardJob{Kind: codec.JobStuckAt, Device: ref, Core: int32(ci), Spec: spec, Knobs: knobs}
+		jobs = append(jobs, planJobs(proto, costs, c.shardCount(), len(jobs), func(job *codec.ShardJob, units []int) {
+			sub := make([]sim.Fault, len(units))
+			for k, fi := range units {
+				sub[k] = faults[fi]
+			}
+			job.FaultHash = pipeline.FaultSetHash(sub)
+			job.Faults = faultsToWire(sub)
+		})...)
 	}
 	results, runErr := c.run(ctx, jobs)
 
@@ -169,12 +146,12 @@ func (c *Coordinator) RunSOC(ctx context.Context, ref codec.DeviceRef, o core.Op
 	for _, ci := range cores {
 		var own []*codec.ShardResult
 		for j, res := range results {
-			if jobCore[jobs[j].ID] == ci {
+			if jobs[j].Core == int32(ci) {
 				own = append(own, res)
 			}
 		}
 		slots, batches, capacity := mergeDiagnoses(coreFaults[ci], own)
-		study := core.MergeObserved(o, schemeName(o.Scheme), slots, func(fd *core.FaultDiagnosis) {
+		study := core.MergeObserved(o, o.Scheme.Name(), slots, func(fd *core.FaultDiagnosis) {
 			if observe != nil {
 				observe(ci, fd)
 			}
@@ -215,26 +192,14 @@ func (c *Coordinator) RunTransition(ctx context.Context, ref codec.DeviceRef, o 
 	if len(costs) != len(faults) {
 		return nil, fmt.Errorf("shard: %d costs for %d faults", len(costs), len(faults))
 	}
-	plan := PlanShards(costs, c.shardCount())
-	jobs := make([]*codec.ShardJob, len(plan))
-	for j, sh := range plan {
-		sub := make([]sim.TransitionFault, len(sh.Indices))
-		idx := make([]uint32, len(sh.Indices))
-		for k, fi := range sh.Indices {
+	proto := codec.ShardJob{Kind: codec.JobTransition, Device: ref, Core: -1, Spec: spec, Knobs: knobs}
+	jobs := planJobs(proto, costs, c.shardCount(), 0, func(job *codec.ShardJob, units []int) {
+		sub := make([]sim.TransitionFault, len(units))
+		for k, fi := range units {
 			sub[k] = faults[fi]
-			idx[k] = uint32(fi)
 		}
-		jobs[j] = &codec.ShardJob{
-			ID:      uint64(j + 1),
-			Kind:    codec.JobTransition,
-			Device:  ref,
-			Core:    -1,
-			Spec:    spec,
-			Knobs:   knobs,
-			TFaults: tfaultsToWire(sub),
-			Indices: idx,
-		}
-	}
+		job.TFaults = tfaultsToWire(sub)
+	})
 	results, runErr := c.run(ctx, jobs)
 	out := make([]*TransitionOutcome, len(faults))
 	for _, res := range results {
@@ -264,22 +229,13 @@ func (c *Coordinator) RunTransition(ctx context.Context, ref codec.DeviceRef, o 
 	return out, runErr
 }
 
-// ChainOutcome is one scan-chain fault injection's sharded diagnosis:
-// whether the injected fault appeared among the candidates, whether it
-// was the only candidate, and the candidate count.
-type ChainOutcome struct {
-	Located bool
-	Exact   bool
-	Cands   int
-}
-
 // RunChain shards the chain-diagnosis injection sweep: injections
 // 0..n-1, where injection i plants ChainFault{Position: i/2, Stuck:
 // i%2} — exactly chaindiag's sweep numbering. order is the scan order
 // under test and must cover every cell (chaindiag.NewDevice requires
 // it). The returned slice has one entry per injection; nil entries mark
 // injections whose shard failed.
-func (c *Coordinator) RunChain(ctx context.Context, ref codec.DeviceRef, order []int, n int) ([]*ChainOutcome, error) {
+func (c *Coordinator) RunChain(ctx context.Context, ref codec.DeviceRef, order []int, n int) ([]*chaindiag.Outcome, error) {
 	if len(order) == 0 {
 		return nil, fmt.Errorf("shard: chain sweep requires an explicit scan order")
 	}
@@ -288,32 +244,17 @@ func (c *Coordinator) RunChain(ctx context.Context, ref codec.DeviceRef, order [
 	if err != nil {
 		return nil, err
 	}
-	plan := PlanShards(UniformCosts(n), c.shardCount())
-	jobs := make([]*codec.ShardJob, len(plan))
-	for j, sh := range plan {
-		idx := make([]uint32, len(sh.Indices))
-		for k, fi := range sh.Indices {
-			idx[k] = uint32(fi)
-		}
-		jobs[j] = &codec.ShardJob{
-			ID:      uint64(j + 1),
-			Kind:    codec.JobChain,
-			Device:  ref,
-			Core:    -1,
-			Spec:    spec,
-			Knobs:   knobs,
-			Indices: idx,
-		}
-	}
+	proto := codec.ShardJob{Kind: codec.JobChain, Device: ref, Core: -1, Spec: spec, Knobs: knobs}
+	jobs := planJobs(proto, UniformCosts(n), c.shardCount(), 0, nil)
 	results, runErr := c.run(ctx, jobs)
-	out := make([]*ChainOutcome, n)
+	out := make([]*chaindiag.Outcome, n)
 	for _, res := range results {
 		if res == nil {
 			continue
 		}
 		for i := range res.Chains {
 			co := &res.Chains[i]
-			out[co.Index] = &ChainOutcome{Located: co.Located, Exact: co.Exact, Cands: int(co.Cands)}
+			out[co.Index] = &chaindiag.Outcome{Located: co.Located, Exact: co.Exact, Cands: int(co.Cands)}
 		}
 	}
 	return out, runErr

@@ -108,12 +108,7 @@ func optionsToWire(o core.Options) (codec.WireSpec, codec.WireKnobs, error) {
 		MISRPoly:   uint64(o.MISRPoly),
 		Ideal:      o.Ideal,
 		Chains:     uint32(o.Chains),
-	}
-	if o.ScanOrder != nil {
-		spec.ScanOrder = make([]uint32, len(o.ScanOrder))
-		for i, v := range o.ScanOrder {
-			spec.ScanOrder[i] = uint32(v)
-		}
+		ScanOrder:  convert[uint32](o.ScanOrder),
 	}
 	knobs := codec.WireKnobs{
 		NoiseIntermittent: o.Noise.Intermittent,
@@ -151,12 +146,7 @@ func optionsFromWire(spec codec.WireSpec, knobs codec.WireKnobs) (core.Options, 
 		Retry:         bist.RetryPolicy{MaxRetries: int(knobs.MaxRetries)},
 		VoteThreshold: int(knobs.VoteThreshold),
 		Lanes:         int(knobs.Lanes),
-	}
-	if len(spec.ScanOrder) > 0 {
-		o.ScanOrder = make([]int, len(spec.ScanOrder))
-		for i, v := range spec.ScanOrder {
-			o.ScanOrder[i] = int(v)
-		}
+		ScanOrder:     convert[int](spec.ScanOrder),
 	}
 	return o, nil
 }
@@ -193,20 +183,25 @@ func tfaultsFromWire(faults []codec.WireTransitionFault) []sim.TransitionFault {
 	return out
 }
 
+// convert copies an integer list into another integer type; an empty
+// list converts to nil.
+func convert[To, From ~int | ~uint32](in []From) []To {
+	if len(in) == 0 {
+		return nil
+	}
+	out := make([]To, len(in))
+	for i, v := range in {
+		out[i] = To(v)
+	}
+	return out
+}
+
 // setElems renders a bitset as its sorted element list; nil-safe.
 func setElems(s *bitset.Set) []uint32 {
 	if s == nil {
 		return nil
 	}
-	elems := s.Elems()
-	if len(elems) == 0 {
-		return nil
-	}
-	out := make([]uint32, len(elems))
-	for i, e := range elems {
-		out[i] = uint32(e)
-	}
-	return out
+	return convert[uint32](s.Elems())
 }
 
 // setFromElems rebuilds a bitset from a sorted element list. The wire
@@ -214,22 +209,7 @@ func setElems(s *bitset.Set) []uint32 {
 // the distinction (Result nil iff undetected) reconstruct it from the
 // Detected flag instead.
 func setFromElems(elems []uint32) *bitset.Set {
-	ints := make([]int, len(elems))
-	for i, e := range elems {
-		ints[i] = int(e)
-	}
-	return bitset.FromSlice(ints)
-}
-
-func countsToWire(counts []int) []uint32 {
-	if len(counts) == 0 {
-		return nil
-	}
-	out := make([]uint32, len(counts))
-	for i, c := range counts {
-		out[i] = uint32(c)
-	}
-	return out
+	return bitset.FromSlice(convert[int](elems))
 }
 
 // diagnosisToWire flattens one per-fault outcome into its verdict delta.
@@ -248,7 +228,7 @@ func diagnosisToWire(index uint32, fd *core.FaultDiagnosis) codec.WireDiagnosis 
 		d.Pruned = setElems(fd.Result.Pruned)
 		d.Confirmed = setElems(fd.Result.Confirmed)
 	}
-	d.ByPartition = countsToWire(fd.CandidatesByPartition)
+	d.ByPartition = convert[uint32](fd.CandidatesByPartition)
 	if fd.Baseline != nil || fd.Reliability != nil {
 		d.HasNoise = true
 		if fd.Baseline != nil {

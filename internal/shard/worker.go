@@ -193,7 +193,7 @@ func sendProgress(conn net.Conn, jobID uint64, done, total int) error {
 // runJob executes one decoded job and produces its result frame.
 func (s *Server) runJob(ctx context.Context, conn net.Conn, job *codec.ShardJob) (*codec.ShardResult, error) {
 	switch job.Kind {
-	case codec.JobCircuit, codec.JobSOCCore:
+	case codec.JobStuckAt:
 		return s.runFaultJob(ctx, conn, job)
 	case codec.JobTransition:
 		return s.runTransitionJob(ctx, conn, job)
@@ -203,14 +203,13 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, job *codec.ShardJob)
 	return nil, fmt.Errorf("shard: job kind %d not implemented", job.Kind)
 }
 
-// faultSweeper is the common face of CircuitBench and SOCBench sweeps
-// the worker drives chunk by chunk.
-type faultSweeper func(ctx context.Context, faults []sim.Fault, observe func(*core.FaultDiagnosis)) (*core.Study, error)
-
-// runFaultJob runs a stuck-at shard — standalone circuit or one SOC
-// core — in progress-reporting chunks. The per-fault verdict deltas are
-// appended in global index order (shard indices are ascending and
-// chunks walk them in order), so the result needs no sorting.
+// runFaultJob runs a stuck-at shard on one core of the job's device in
+// progress-reporting chunks. The device kind picks only the bench
+// constructor: a circuit ref keeps NewCircuitBench's custom scan order
+// and circuit design rules, a preset gets the SOC bench. The per-fault
+// verdict deltas are appended in global index order (shard indices are
+// ascending and chunks walk them in order), so the result needs no
+// sorting.
 func (s *Server) runFaultJob(ctx context.Context, conn net.Conn, job *codec.ShardJob) (*codec.ShardResult, error) {
 	o, err := s.options(job)
 	if err != nil {
@@ -222,33 +221,24 @@ func (s *Server) runFaultJob(ctx context.Context, conn net.Conn, job *codec.Shar
 			return nil, fmt.Errorf("shard: shard %d fault-set hash mismatch: descriptor %s, payload %s", job.ID, job.FaultHash, got)
 		}
 	}
-	var sweep faultSweeper
-	if job.Kind == codec.JobCircuit {
-		c, err := s.reg.resolveCircuit(job.Device)
-		if err != nil {
-			return nil, err
-		}
-		bench, err := core.NewCircuitBench(c, o)
-		if err != nil {
-			return nil, err
-		}
-		sweep = bench.RunObservedContext
+	dev, err := s.reg.resolve(job.Device)
+	if err != nil {
+		return nil, err
+	}
+	if int(job.Core) >= len(dev.Cores) {
+		return nil, fmt.Errorf("shard: core %d outside SOC %s (%d cores)", job.Core, dev.Name, len(dev.Cores))
+	}
+	var bench *core.SOCBench
+	if job.Device.Kind == codec.DeviceSOC {
+		bench, err = core.NewSOCBench(dev, o)
 	} else {
-		socDev, err := s.reg.resolveSOC(job.Device)
-		if err != nil {
-			return nil, err
+		var cb *core.CircuitBench
+		if cb, err = core.NewCircuitBench(dev.Cores[0].Circuit, o); err == nil {
+			bench = cb.Device()
 		}
-		if int(job.Core) >= len(socDev.Cores) {
-			return nil, fmt.Errorf("shard: core %d outside SOC %s (%d cores)", job.Core, socDev.Name, len(socDev.Cores))
-		}
-		bench, err := core.NewSOCBench(socDev, o)
-		if err != nil {
-			return nil, err
-		}
-		coreIdx := int(job.Core)
-		sweep = func(ctx context.Context, faults []sim.Fault, observe func(*core.FaultDiagnosis)) (*core.Study, error) {
-			return bench.RunCoreObservedContext(ctx, coreIdx, faults, observe)
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &codec.ShardResult{
@@ -261,7 +251,7 @@ func (s *Server) runFaultJob(ctx context.Context, conn net.Conn, job *codec.Shar
 	for _, b := range chunkBounds(total) {
 		lo, hi := b[0], b[1]
 		k := lo
-		study, err := sweep(ctx, faults[lo:hi], func(fd *core.FaultDiagnosis) {
+		study, err := bench.RunCoreObservedContext(ctx, int(job.Core), faults[lo:hi], func(fd *core.FaultDiagnosis) {
 			res.Diagnoses = append(res.Diagnoses, diagnosisToWire(job.Indices[k], fd))
 			k++
 		})
@@ -295,7 +285,7 @@ func (s *Server) runTransitionJob(ctx context.Context, conn net.Conn, job *codec
 	if o.Chains > 1 {
 		return nil, fmt.Errorf("shard: transition shard %d requires a single chain, got %d", job.ID, o.Chains)
 	}
-	c, err := s.reg.resolveCircuit(job.Device)
+	c, err := s.reg.circuitOf(job.Device)
 	if err != nil {
 		return nil, err
 	}
@@ -337,17 +327,14 @@ func (s *Server) runTransitionJob(ctx context.Context, conn net.Conn, job *codec
 // runChainJob runs a chain-fault injection shard: injection i plants
 // ChainFault{Position: i/2, Stuck: i%2}, exactly chaindiag's sweep.
 func (s *Server) runChainJob(ctx context.Context, conn net.Conn, job *codec.ShardJob) (*codec.ShardResult, error) {
-	c, err := s.reg.resolveCircuit(job.Device)
+	c, err := s.reg.circuitOf(job.Device)
 	if err != nil {
 		return nil, err
 	}
 	if len(job.Spec.ScanOrder) != c.NumDFFs() {
 		return nil, fmt.Errorf("shard: chain shard %d order covers %d of %d cells", job.ID, len(job.Spec.ScanOrder), c.NumDFFs())
 	}
-	order := make([]int, len(job.Spec.ScanOrder))
-	for i, v := range job.Spec.ScanOrder {
-		order[i] = int(v)
-	}
+	order := convert[int](job.Spec.ScanOrder)
 	res := &codec.ShardResult{
 		JobID:  job.ID,
 		Kind:   job.Kind,
@@ -364,24 +351,11 @@ func (s *Server) runChainJob(ctx context.Context, conn net.Conn, job *codec.Shar
 			if i >= 2*c.NumDFFs() {
 				return nil, fmt.Errorf("shard: chain shard %d injection %d outside chain of %d cells", job.ID, i, c.NumDFFs())
 			}
-			truth := chaindiag.ChainFault{Position: i / 2, Stuck: uint8(i % 2)}
-			dut, err := chaindiag.NewDevice(c, order, &truth)
+			o, err := chaindiag.Inject(c, order, i)
 			if err != nil {
 				return nil, err
 			}
-			cands, err := chaindiag.Diagnose(c, order, dut.LoadCaptureObserve)
-			if err != nil {
-				return nil, err
-			}
-			out := codec.WireChainOutcome{Index: idx, Cands: uint32(len(cands))}
-			for _, cand := range cands {
-				if cand.Fault != nil && *cand.Fault == truth {
-					out.Located = true
-					out.Exact = len(cands) == 1
-					break
-				}
-			}
-			res.Chains = append(res.Chains, out)
+			res.Chains = append(res.Chains, codec.WireChainOutcome{Index: idx, Located: o.Located, Exact: o.Exact, Cands: uint32(o.Cands)})
 		}
 		if err := sendProgress(conn, job.ID, hi, total); err != nil {
 			return nil, err

@@ -463,18 +463,9 @@ func (fs *FaultSim) spliceLocal(core int, local *sim.Result, sc *Scratch) *Resul
 	return &sc.res
 }
 
-// PlanCoreBatches schedules faults of core i into batches for the
-// fault-parallel engine: cone-disjoint within each 64-lane plane, with
-// opt.MaxLanes (up to sim.MaxBatchLanes) choosing how many planes the
-// wide-word kernel runs per batch. The plan is immutable and shared
-// across forks; pair it with NewCoreBatchScratch per worker, which sizes
-// its scratch for the plan's plane count.
-func (fs *FaultSim) PlanCoreBatches(core int, faults []sim.Fault, opt sim.BatchOptions) *sim.BatchPlan {
-	return sim.PlanBatches(fs.soc.Cores[core].Circuit, faults, opt)
-}
-
 // NewCoreBatchScratch allocates the batch evaluation scratch for one
-// worker's sweeps over core i's plan.
+// worker's sweeps over core i's plan (sim.PlanBatches over the core's
+// circuit; the plan is immutable and shared across forks).
 func (fs *FaultSim) NewCoreBatchScratch(core int, p *sim.BatchPlan) *sim.BatchScratch {
 	return fs.sims[core].NewBatchScratch(p)
 }

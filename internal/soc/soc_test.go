@@ -512,7 +512,7 @@ func batchEquivalence(t *testing.T, s *SOC) {
 	var sweeps []coreSweep
 	for core := 0; core < s.NumCores(); core++ {
 		faults := sim.SampleFaults(fs.CoreFaults(core), 150, int64(41+core))
-		plan := fs.PlanCoreBatches(core, faults, sim.BatchOptions{})
+		plan := sim.PlanBatches(s.Cores[core].Circuit, faults, sim.BatchOptions{})
 		sweeps = append(sweeps, coreSweep{core, faults, plan, fs.NewCoreBatchScratch(core, plan)})
 	}
 	covered := 0
