@@ -652,18 +652,6 @@ func BenchmarkPhaseShifter(b *testing.B) {
 	}
 }
 
-func BenchmarkTransitionFaultSim(b *testing.B) {
-	c := benchgen.MustGenerate("s5378")
-	prpg := lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1)
-	blocks := bist.GenerateBlocks(prpg, c.NumInputs(), c.NumDFFs(), 128)
-	fs := sim.NewFaultSim(c, blocks)
-	faults := sim.TransitionFaultList(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs.RunTransition(faults[i%len(faults)])
-	}
-}
-
 // --- Pipeline: artifact cache and pooled fault loop ----------------------
 
 // BenchmarkArtifactCache contrasts the cold artifact build (pattern

@@ -32,36 +32,19 @@ func (rp RetryPolicy) Policy() retry.Policy {
 // prefix diagnosis (diagnosis.DiagnosePartial), which is sound because
 // partition intersection only ever shrinks the candidate set.
 //
-// For a fully observed run the verdicts equal Verdicts bit-for-bit: the
-// per-partition fold consumes the same per-error-bit contributions, just
-// grouped partition-major so a deadline can land between sessions the
-// way it would on a real tester.
+// The verdicts are folded once by VerdictsInto; the per-partition ctx
+// poll then decides how many rows of them the tester observed, the way
+// a deadline would land between sessions on a real tester. For a fully
+// observed run the verdicts therefore equal Verdicts bit-for-bit.
 func (e *Engine) VerdictsUpTo(ctx context.Context, good, faulty []*sim.Response, blocks []*sim.Block, v *Verdicts) (int, error) {
-	contrib := e.sessionContribs(good, faulty, blocks)
-	for t := range v.Fail {
-		for i := range v.Fail[t] {
-			v.Fail[t][i] = false
-			v.ErrSig[t][i] = 0
-		}
-	}
-	v.Unknown = nil
+	e.VerdictsInto(good, faulty, blocks, v)
 	for t := 0; t < e.plan.Partitions; t++ {
 		if err := ctx.Err(); err != nil {
+			for u := t; u < e.plan.Partitions; u++ {
+				clear(v.Fail[u])
+				clear(v.ErrSig[u])
+			}
 			return t, err
-		}
-		for slot := 0; slot < e.vgroups; slot++ {
-			var sig uint64
-			active := false
-			for _, en := range contrib[t][slot] {
-				sig ^= en.syn
-				active = true
-			}
-			if e.plan.Ideal {
-				v.Fail[t][slot] = active
-			} else {
-				v.Fail[t][slot] = sig != 0
-			}
-			v.ErrSig[t][slot] = sig
 		}
 	}
 	return e.plan.Partitions, nil

@@ -13,7 +13,8 @@ import (
 
 // TestTransitionDiagnosisEndToEnd: transition faults also produce clustered
 // failing cells, so the partition-based diagnosis applies unchanged — run
-// the full flow against the two-cycle good reference.
+// the full flow, simulated through the batched transition path, against
+// the two-cycle good reference.
 func TestTransitionDiagnosisEndToEnd(t *testing.T) {
 	c := benchgen.MustGenerate("s953")
 	prpg := lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1)
@@ -27,12 +28,16 @@ func TestTransitionDiagnosisEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var faults []sim.TransitionFault
+	for id := 0; id < c.NumNets(); id += 11 {
+		faults = append(faults, sim.TransitionFault{Net: circuit.NetID(id), SlowToRise: true})
+	}
+	plan := sim.PlanTransitionBatches(c, faults, sim.BatchOptions{})
 	diagnosed := 0
-	for id := 0; id < c.NumNets() && diagnosed < 25; id += 11 {
-		f := sim.TransitionFault{Net: circuit.NetID(id), SlowToRise: true}
-		res := fs.RunTransition(f)
+	fs.RunPlan(plan, func(i int, res *sim.Result) {
+		f := faults[i]
 		if !res.Detected() {
-			continue
+			return
 		}
 		diagnosed++
 		v := eng.Verdicts(good, res.Faulty, blocks)
@@ -52,7 +57,7 @@ func TestTransitionDiagnosisEndToEnd(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	if diagnosed == 0 {
 		t.Fatal("nothing diagnosed")
 	}

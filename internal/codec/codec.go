@@ -97,12 +97,14 @@ const (
 	// The shard protocol messages share one wire revision: a coordinator
 	// and worker either speak the same protocol or refuse each other at
 	// the first frame. Revision 2 has one stuck-at job kind (a circuit is
-	// core 0 of its one-core SOC) and retires job kind 1.
-	VersionShardHello    uint16 = 2
-	VersionShardJob      uint16 = 2
-	VersionShardResult   uint16 = 2
-	VersionShardError    uint16 = 2
-	VersionShardProgress uint16 = 2
+	// core 0 of its one-core SOC) and retires job kind 1. Revision 3
+	// drops the transition-fault job (kind 4) and its fault list from the
+	// job frame, leaving the stuck-at and chain kinds.
+	VersionShardHello    uint16 = 3
+	VersionShardJob      uint16 = 3
+	VersionShardResult   uint16 = 3
+	VersionShardError    uint16 = 3
+	VersionShardProgress uint16 = 3
 )
 
 const (

@@ -102,8 +102,8 @@ type WireKnobs struct {
 type JobKind uint8
 
 // Shard job kinds: which diagnosis flow the worker runs. Wire byte 1,
-// the circuit-only stuck-at job of protocol revision 1, is retired and
-// rejected.
+// the circuit-only stuck-at job of protocol revision 1, and wire byte
+// 4, the transition-fault job of revision 2, are retired and rejected.
 const (
 	// JobStuckAt diagnoses stuck-at faults in one core of a device
 	// through its scan chains; a full-scan circuit is core 0 of its
@@ -112,21 +112,12 @@ const (
 	// JobChain injects shift-path faults (position i/2, stuck i%2 per
 	// index) and reports location accuracy.
 	JobChain JobKind = 3
-	// JobTransition diagnoses transition (delay) faults under
-	// launch-off-capture.
-	JobTransition JobKind = 4
 )
 
 // WireFault is sim.Fault on the wire.
 type WireFault struct {
 	Net, Gate, Pin int32
 	Stuck          uint8
-}
-
-// WireTransitionFault is sim.TransitionFault on the wire.
-type WireTransitionFault struct {
-	Net        int32
-	SlowToRise bool
 }
 
 // ShardJob is one shard descriptor: everything a worker needs to rebuild
@@ -144,9 +135,8 @@ type ShardJob struct {
 	// (pipeline.FaultSetHash) — the job's tie to the coordinator's fault
 	// universe, logged and echoed rather than recomputed per shard.
 	FaultHash string
-	Faults    []WireFault           // JobStuckAt
-	TFaults   []WireTransitionFault // JobTransition
-	Indices   []uint32              // global indices; JobChain uses these alone
+	Faults    []WireFault // JobStuckAt
+	Indices   []uint32    // global indices; JobChain uses these alone
 }
 
 // WireDiagnosis is one per-fault verdict delta: the FaultDiagnosis
@@ -191,7 +181,7 @@ type ShardResult struct {
 	// coordinator can aggregate scheduler-saturation metrics.
 	PlanBatches uint32
 	LaneCap     uint32
-	Diagnoses   []WireDiagnosis    // JobStuckAt, JobTransition
+	Diagnoses   []WireDiagnosis    // JobStuckAt
 	Chains      []WireChainOutcome // JobChain
 }
 
@@ -305,11 +295,6 @@ func EncodeShardJob(j *ShardJob) []byte {
 		w.i32(f.Gate)
 		w.i32(f.Pin)
 		w.u8(f.Stuck)
-	}
-	w.u32(uint32(len(j.TFaults)))
-	for _, f := range j.TFaults {
-		w.i32(f.Net)
-		w.boolean(f.SlowToRise)
 	}
 	w.u32s(j.Indices)
 	return seal(KindShardJob, VersionShardJob, w.b)
@@ -507,34 +492,22 @@ func DecodeShardJob(data []byte) (*ShardJob, error) {
 			j.Faults[i] = WireFault{Net: r.i32(), Gate: r.i32(), Pin: r.i32(), Stuck: r.u8()}
 		}
 	}
-	if n := r.count(5); n > 0 {
-		j.TFaults = make([]WireTransitionFault, n)
-		for i := range j.TFaults {
-			j.TFaults[i] = WireTransitionFault{Net: r.i32(), SlowToRise: r.boolean()}
-		}
-	}
 	j.Indices = r.u32s()
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("codec: shard job: %w", err)
 	}
-	if j.Kind < JobStuckAt || j.Kind > JobTransition {
+	if j.Kind < JobStuckAt || j.Kind > JobChain {
 		return nil, fmt.Errorf("codec: shard job: unknown job kind %d", j.Kind)
 	}
 	switch j.Kind {
 	case JobStuckAt:
-		if len(j.Indices) != len(j.Faults) || len(j.TFaults) != 0 {
-			return nil, fmt.Errorf("codec: shard job: %d indices for %d stuck-at faults (+%d transition)",
-				len(j.Indices), len(j.Faults), len(j.TFaults))
-		}
-	case JobTransition:
-		if len(j.Indices) != len(j.TFaults) || len(j.Faults) != 0 {
-			return nil, fmt.Errorf("codec: shard job: %d indices for %d transition faults (+%d stuck-at)",
-				len(j.Indices), len(j.TFaults), len(j.Faults))
+		if len(j.Indices) != len(j.Faults) {
+			return nil, fmt.Errorf("codec: shard job: %d indices for %d stuck-at faults",
+				len(j.Indices), len(j.Faults))
 		}
 	case JobChain:
-		if len(j.Faults) != 0 || len(j.TFaults) != 0 {
-			return nil, fmt.Errorf("codec: shard job: chain job carries %d+%d faults (wants none)",
-				len(j.Faults), len(j.TFaults))
+		if len(j.Faults) != 0 {
+			return nil, fmt.Errorf("codec: shard job: chain job carries %d faults (wants none)", len(j.Faults))
 		}
 	}
 	if j.Kind == JobStuckAt && j.Core < 0 {
@@ -572,7 +545,7 @@ func DecodeShardResult(data []byte) (*ShardResult, error) {
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("codec: shard result: %w", err)
 	}
-	if res.Kind < JobStuckAt || res.Kind > JobTransition {
+	if res.Kind < JobStuckAt || res.Kind > JobChain {
 		return nil, fmt.Errorf("codec: shard result: unknown job kind %d", res.Kind)
 	}
 	return &res, nil

@@ -75,24 +75,6 @@ func TestShardWireRoundTrip(t *testing.T) {
 		t.Fatalf("circuit job:\nwant %+v\ngot  %+v", cjob, gotC0)
 	}
 
-	tjob := &codec.ShardJob{
-		ID: 8, Kind: codec.JobTransition,
-		Device: codec.DeviceRef{Kind: codec.DeviceProfile, Name: "s953", Scale: 1, Fingerprint: "ff"},
-		Core:   -1,
-		Spec:   codec.WireSpec{Scheme: codec.WireScheme{Kind: codec.SchemeFixed}, Groups: 4, Partitions: 8, Patterns: 128, PRPGSeed: 0xACE1, PRPGPoly: 0x1100b},
-		TFaults: []codec.WireTransitionFault{
-			{Net: 3, SlowToRise: true}, {Net: 5, SlowToRise: false},
-		},
-		Indices: []uint32{0, 3},
-	}
-	gotT, err := codec.DecodeShardJob(codec.EncodeShardJob(tjob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tjob, gotT) {
-		t.Fatalf("transition job:\nwant %+v\ngot  %+v", tjob, gotT)
-	}
-
 	res := &codec.ShardResult{
 		JobID: 7, Kind: codec.JobStuckAt, PlanBatches: 3, LaneCap: 64,
 		Diagnoses: []codec.WireDiagnosis{
@@ -164,11 +146,17 @@ func TestShardJobValidation(t *testing.T) {
 			t.Errorf("device kind %d: stuck-at job without a core accepted", bad.Device.Kind)
 		}
 	}
-	for _, kind := range []codec.JobKind{0, 1, 99} {
+	// Kind 1 (revision 1's circuit stuck-at job) and kind 4 (revision
+	// 2's transition job) are retired.
+	for _, kind := range []codec.JobKind{0, 1, 4, 99} {
 		bad = circuitShardJob()
 		bad.Kind = kind
 		if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
 			t.Errorf("job kind %d accepted", kind)
+		}
+		res := &codec.ShardResult{JobID: 1, Kind: kind}
+		if _, err := codec.DecodeShardResult(codec.EncodeShardResult(res)); err == nil {
+			t.Errorf("result kind %d accepted", kind)
 		}
 	}
 }
@@ -190,10 +178,10 @@ func circuitShardJob() *codec.ShardJob {
 	}
 }
 
-// TestShardRejectsRevision1 forges intact revision-1 frames of every
-// shard message: each decoder refuses them, so peers of different
-// protocol revisions refuse each other at the hello.
-func TestShardRejectsRevision1(t *testing.T) {
+// TestShardRejectsOldRevisions forges intact revision-1 and revision-2
+// frames of every shard message: each decoder refuses them, so peers of
+// different protocol revisions refuse each other at the hello.
+func TestShardRejectsOldRevisions(t *testing.T) {
 	for _, tc := range []struct {
 		env    []byte
 		decode func([]byte) error
@@ -207,14 +195,16 @@ func TestShardRejectsRevision1(t *testing.T) {
 		if err := tc.decode(tc.env); err != nil {
 			t.Fatalf("pristine frame rejected: %v", err)
 		}
-		old := forgeVersion(t, tc.env, 1)
-		err := tc.decode(old)
-		if err == nil {
-			h, _ := codec.Inspect(old)
-			t.Fatalf("revision-1 %s frame accepted", h.Kind)
-		}
-		if !strings.Contains(err.Error(), "version") {
-			t.Fatalf("rejection should name the version mismatch, got: %v", err)
+		for _, version := range []uint16{1, 2} {
+			old := forgeVersion(t, tc.env, version)
+			err := tc.decode(old)
+			if err == nil {
+				h, _ := codec.Inspect(old)
+				t.Fatalf("revision-%d %s frame accepted", version, h.Kind)
+			}
+			if !strings.Contains(err.Error(), "version") {
+				t.Fatalf("rejection should name the version mismatch, got: %v", err)
+			}
 		}
 	}
 }

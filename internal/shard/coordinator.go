@@ -278,7 +278,9 @@ func (p *dispatchPool) exchange(ctx context.Context, wc *WorkerConn, job *codec.
 }
 
 // validateResult checks a result frame against the job that produced
-// it: right kind, and exactly one delta per dispatched index, in order.
+// it: right kind, exactly one delta per dispatched index, in order, and
+// a per-partition candidate count for every partition of each detected
+// fault (the merge indexes one per partition).
 func validateResult(job *codec.ShardJob, res *codec.ShardResult) error {
 	if res.Kind != job.Kind {
 		return fmt.Errorf("shard: shard %d: result kind %d, want %d", job.ID, res.Kind, job.Kind)
@@ -298,8 +300,12 @@ func validateResult(job *codec.ShardJob, res *codec.ShardResult) error {
 		return fmt.Errorf("shard: shard %d: %d diagnoses for %d faults", job.ID, len(res.Diagnoses), len(job.Indices))
 	}
 	for k := range res.Diagnoses {
-		if res.Diagnoses[k].Index != job.Indices[k] {
-			return fmt.Errorf("shard: shard %d: diagnosis %d is for fault %d, want %d", job.ID, k, res.Diagnoses[k].Index, job.Indices[k])
+		d := &res.Diagnoses[k]
+		if d.Index != job.Indices[k] {
+			return fmt.Errorf("shard: shard %d: diagnosis %d is for fault %d, want %d", job.ID, k, d.Index, job.Indices[k])
+		}
+		if d.Detected && len(d.ByPartition) != int(job.Spec.Partitions) {
+			return fmt.Errorf("shard: shard %d: fault %d has %d per-partition counts for %d partitions", job.ID, d.Index, len(d.ByPartition), job.Spec.Partitions)
 		}
 	}
 	return nil

@@ -188,3 +188,34 @@ func TestShardPermanentFailureSoundSubset(t *testing.T) {
 		sameDiag(t, i, ref, fd)
 	}
 }
+
+// TestValidateResultRejectsShortPartitionCounts: a result frame is
+// outside input. A detected diagnosis whose per-partition counts do not
+// cover every partition would index past its list in the merge, so
+// validateResult must refuse it, naming the shard, before it gets there.
+func TestValidateResultRejectsShortPartitionCounts(t *testing.T) {
+	job := &codec.ShardJob{
+		ID: 5, Kind: codec.JobStuckAt, Core: 0,
+		Spec:    codec.WireSpec{Partitions: 4},
+		Faults:  []codec.WireFault{{Net: 1}, {Net: 2}},
+		Indices: []uint32{3, 8},
+	}
+	result := func(byPartition []uint32) *codec.ShardResult {
+		return &codec.ShardResult{JobID: 5, Kind: codec.JobStuckAt, Diagnoses: []codec.WireDiagnosis{
+			{Index: 3, Detected: true, Actual: []uint32{0}, ByPartition: byPartition, Observed: 4, Scheduled: 4},
+			{Index: 8, Observed: 4, Scheduled: 4},
+		}}
+	}
+	if err := validateResult(job, result([]uint32{9, 5, 3, 2})); err != nil {
+		t.Fatalf("well-formed result rejected: %v", err)
+	}
+	for _, bad := range [][]uint32{nil, {9}, {9, 5, 3, 2, 1}} {
+		err := validateResult(job, result(bad))
+		if err == nil {
+			t.Fatalf("%d per-partition counts for 4 partitions accepted", len(bad))
+		}
+		if !strings.Contains(err.Error(), "shard 5") {
+			t.Fatalf("rejection should name the shard, got: %v", err)
+		}
+	}
+}

@@ -122,10 +122,9 @@ func buildCircuit(ref codec.DeviceRef) (*circuit.Circuit, error) {
 	return benchgen.Generate(p)
 }
 
-// circuitOf resolves a profile or bench-file ref for the
-// circuit-only flows (transition and chain sweeps). It rejects an SOC
-// ref before the memo lookup, so a preset's fingerprint can never hand
-// back a multi-core device.
+// circuitOf resolves a profile or bench-file ref for the circuit-only
+// chain sweep. It rejects an SOC ref before the memo lookup, so a
+// preset's fingerprint can never hand back a multi-core device.
 func (reg *deviceRegistry) circuitOf(ref codec.DeviceRef) (*circuit.Circuit, error) {
 	if ref.Kind == codec.DeviceSOC {
 		return nil, fmt.Errorf("shard: device kind %d is not a circuit", ref.Kind)

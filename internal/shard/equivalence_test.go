@@ -16,7 +16,7 @@ import (
 
 // The equivalence matrix: single-process sweeps versus {1, 2, 4}-worker
 // sharded runs, across stuck-at (perfect and noisy testers), SOC
-// meta-chain, transition, and chain-fault sweeps. Every per-fault
+// meta-chain, and chain-fault sweeps. Every per-fault
 // verdict and every study aggregate (bar batch-plan shape) must be
 // bit-identical at every worker count.
 
@@ -135,48 +135,6 @@ func TestShardEquivalenceSOC(t *testing.T) {
 					sameDiag(t, i, want[ci][i], got[ci][i])
 				}
 				sameStudy(t, wantStudies[ci], gotStudies[ci])
-			}
-		}
-	}
-}
-
-func TestShardEquivalenceTransition(t *testing.T) {
-	c := benchgen.MustGenerate("s953")
-	o := core.Options{Scheme: partition.TwoStep{}, Groups: 4}
-	all := sim.TransitionFaultList(c)
-	if len(all) > 80 {
-		all = all[:80]
-	}
-	want, err := RunTransitionLocal(c, o, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detected := 0
-	for _, to := range want {
-		if to.Detected {
-			detected++
-		}
-	}
-	if detected == 0 {
-		t.Fatal("reference sweep detected nothing")
-	}
-	ref := ProfileRef("s953", 0, 1, c)
-	addr := startWorker(t, ServerConfig{Node: "w1", Workers: 2})
-	for _, workers := range workerCounts {
-		co := &Coordinator{Conns: dialPool(t, addr, workers)}
-		got, err := co.RunTransition(context.Background(), ref, o, all, TransitionCosts(c, all), nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if got[i] == nil {
-				t.Fatalf("workers=%d: fault %d missing", workers, i)
-			}
-			if want[i].Fault != got[i].Fault || want[i].Detected != got[i].Detected {
-				t.Fatalf("workers=%d: fault %d outcome differs", workers, i)
-			}
-			if !sameSet(want[i].Actual, got[i].Actual) || !sameSet(want[i].Candidates, got[i].Candidates) {
-				t.Fatalf("workers=%d: fault %d sets differ", workers, i)
 			}
 		}
 	}

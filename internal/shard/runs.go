@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/chaindiag"
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -160,73 +159,6 @@ func (c *Coordinator) RunSOC(ctx context.Context, ref codec.DeviceRef, o core.Op
 		studies[ci] = study
 	}
 	return studies, runErr
-}
-
-// TransitionOutcome is one transition fault's sharded diagnosis,
-// mirroring the launch-on-capture flow the experiments package runs:
-// the truly failing cells and the pruned candidate set.
-type TransitionOutcome struct {
-	Fault      sim.TransitionFault
-	Detected   bool
-	Actual     *bitset.Set
-	Candidates *bitset.Set
-}
-
-// RunTransition shards a transition-fault sweep. The returned slice has
-// one entry per fault; nil entries mark faults whose shard failed.
-// o must describe a single-chain configuration (transition launch is
-// defined on one chain); scheme/groups/partitions/patterns/lanes shape
-// the BIST session exactly as in RunTransitionLocal.
-func (c *Coordinator) RunTransition(ctx context.Context, ref codec.DeviceRef, o core.Options, faults []sim.TransitionFault, costs []int, observe func(*TransitionOutcome)) ([]*TransitionOutcome, error) {
-	if o.Chains > 1 {
-		return nil, fmt.Errorf("shard: transition sweep requires a single chain, got %d", o.Chains)
-	}
-	o = TransitionDefaults(o)
-	spec, knobs, err := optionsToWire(o)
-	if err != nil {
-		return nil, err
-	}
-	if costs == nil {
-		costs = UniformCosts(len(faults))
-	}
-	if len(costs) != len(faults) {
-		return nil, fmt.Errorf("shard: %d costs for %d faults", len(costs), len(faults))
-	}
-	proto := codec.ShardJob{Kind: codec.JobTransition, Device: ref, Core: -1, Spec: spec, Knobs: knobs}
-	jobs := planJobs(proto, costs, c.shardCount(), 0, func(job *codec.ShardJob, units []int) {
-		sub := make([]sim.TransitionFault, len(units))
-		for k, fi := range units {
-			sub[k] = faults[fi]
-		}
-		job.TFaults = tfaultsToWire(sub)
-	})
-	results, runErr := c.run(ctx, jobs)
-	out := make([]*TransitionOutcome, len(faults))
-	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		for i := range res.Diagnoses {
-			d := &res.Diagnoses[i]
-			to := &TransitionOutcome{
-				Fault:    faults[d.Index],
-				Detected: d.Detected,
-				Actual:   setFromElems(d.Actual),
-			}
-			if d.Detected {
-				to.Candidates = setFromElems(d.Pruned)
-			}
-			out[d.Index] = to
-		}
-	}
-	if observe != nil {
-		for _, to := range out {
-			if to != nil {
-				observe(to)
-			}
-		}
-	}
-	return out, runErr
 }
 
 // RunChain shards the chain-diagnosis injection sweep: injections

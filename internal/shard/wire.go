@@ -167,22 +167,6 @@ func faultsFromWire(faults []codec.WireFault) []sim.Fault {
 	return out
 }
 
-func tfaultsToWire(faults []sim.TransitionFault) []codec.WireTransitionFault {
-	out := make([]codec.WireTransitionFault, len(faults))
-	for i, f := range faults {
-		out[i] = codec.WireTransitionFault{Net: int32(f.Net), SlowToRise: f.SlowToRise}
-	}
-	return out
-}
-
-func tfaultsFromWire(faults []codec.WireTransitionFault) []sim.TransitionFault {
-	out := make([]sim.TransitionFault, len(faults))
-	for i, f := range faults {
-		out[i] = sim.TransitionFault{Net: circuit.NetID(f.Net), SlowToRise: f.SlowToRise}
-	}
-	return out
-}
-
 // convert copies an integer list into another integer type; an empty
 // list converts to nil.
 func convert[To, From ~int | ~uint32](in []From) []To {

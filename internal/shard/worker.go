@@ -195,8 +195,6 @@ func (s *Server) runJob(ctx context.Context, conn net.Conn, job *codec.ShardJob)
 	switch job.Kind {
 	case codec.JobStuckAt:
 		return s.runFaultJob(ctx, conn, job)
-	case codec.JobTransition:
-		return s.runTransitionJob(ctx, conn, job)
 	case codec.JobChain:
 		return s.runChainJob(ctx, conn, job)
 	}
@@ -273,55 +271,6 @@ func laneCap(lanes int) int {
 		return sim.MaxBatchLanes
 	}
 	return lanes
-}
-
-// runTransitionJob runs a transition shard chunk by chunk through the
-// shared launch-off-capture recipe.
-func (s *Server) runTransitionJob(ctx context.Context, conn net.Conn, job *codec.ShardJob) (*codec.ShardResult, error) {
-	o, err := s.options(job)
-	if err != nil {
-		return nil, err
-	}
-	if o.Chains > 1 {
-		return nil, fmt.Errorf("shard: transition shard %d requires a single chain, got %d", job.ID, o.Chains)
-	}
-	c, err := s.reg.circuitOf(job.Device)
-	if err != nil {
-		return nil, err
-	}
-	faults := tfaultsFromWire(job.TFaults)
-	res := &codec.ShardResult{
-		JobID:     job.ID,
-		Kind:      job.Kind,
-		LaneCap:   uint32(laneCap(o.Lanes)),
-		Diagnoses: make([]codec.WireDiagnosis, 0, len(faults)),
-	}
-	total := len(faults)
-	for _, b := range chunkBounds(total) {
-		lo, hi := b[0], b[1]
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		outs, err := RunTransitionLocal(c, o, faults[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		for k, to := range outs {
-			d := codec.WireDiagnosis{
-				Index:    job.Indices[lo+k],
-				Detected: to.Detected,
-				Actual:   setElems(to.Actual),
-			}
-			if to.Detected {
-				d.Pruned = setElems(to.Candidates)
-			}
-			res.Diagnoses = append(res.Diagnoses, d)
-		}
-		if err := sendProgress(conn, job.ID, hi, total); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }
 
 // runChainJob runs a chain-fault injection shard: injection i plants

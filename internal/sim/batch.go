@@ -199,7 +199,7 @@ func (cb *CompiledBatch) Lanes() int {
 }
 
 // fault returns member k as a Fault for Result reporting; transition
-// members are reported the same way RunTransition reports them.
+// members are reported the same way RunTransitionReference reports them.
 func (cb *CompiledBatch) fault(k int) Fault {
 	if cb.Kind == BatchTransition {
 		return Fault{Net: cb.TFaults[k].Net, Gate: -1, Pin: -1}

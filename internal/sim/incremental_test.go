@@ -112,21 +112,6 @@ func TestEventRunIntoSequence(t *testing.T) {
 	}
 }
 
-// TestEventTransitionEquivalence pins the event-driven launch-off-capture
-// path to the two-full-pass reference for every transition fault.
-func TestEventTransitionEquivalence(t *testing.T) {
-	for _, name := range []string{"s298", "s953"} {
-		c := equivalenceCircuit(t, name)
-		blocks := equivalenceBlocks(c, []int{64, 30}, 13)
-		fs := NewFaultSim(c, blocks)
-		for _, f := range TransitionFaultList(c) {
-			got := fs.RunTransition(f)
-			want := fs.RunTransitionReference(f)
-			requireSameResult(t, name+" "+f.Describe(c), got, want)
-		}
-	}
-}
-
 // TestEventResultWithinCone checks the structural guarantee the engine
 // rests on: every failing cell of a single stuck-at fault lies in the
 // memoized cone of its site.
@@ -189,7 +174,5 @@ func FuzzIncrementalSim(f *testing.F) {
 			want := fs.RunReference(fault)
 			requireSameResult(t, fault.Describe(c), got, want)
 		}
-		tf := TransitionFaultList(c)[rng.Intn(2*c.NumNets())]
-		requireSameResult(t, tf.Describe(c), fs.RunTransition(tf), fs.RunTransitionReference(tf))
 	})
 }

@@ -133,72 +133,9 @@ func (fs *FaultSim) twoCycle() *twoCycleCache {
 	return fs.tc
 }
 
-// RunTransition simulates a transition fault under launch-off-capture with
-// the event-driven engine: the faulty net's cycle-2 value is forced by the
-// delay-fault semantics against its cycle-1 value, and the resulting event
-// propagates through the fault's fan-out cone over the cached two-cycle
-// fault-free values. The Result's Faulty responses are the cycle-2 captured
-// stream, bit-identical to RunTransitionReference.
-func (fs *FaultSim) RunTransition(f TransitionFault) *Result {
-	c := fs.sim.c
-	tc := fs.twoCycle()
-	st := fs.incState()
-	cone := c.Cone(f.Net)
-	res := &Result{
-		Fault:        Fault{Net: f.Net, Gate: -1, Pin: -1},
-		FailingCells: bitset.New(c.NumDFFs()),
-	}
-	poSeen := false
-	for bi, b := range fs.blocks {
-		bad := newResponse(c)
-		copy(bad.Next, tc.good[bi].Next)
-		copy(bad.PO, tc.good[bi].PO)
-		res.Faulty = append(res.Faulty, bad)
-		gv := tc.vals[bi]
-		// The launch value of the faulty net is its cycle-1 (single-cycle
-		// fault-free) value; the fault holds cycle 2 at it when the
-		// transition fails.
-		forced := transitionForce(gv[f.Net], fs.goodVals[bi][f.Net], f.SlowToRise)
-		if forced == gv[f.Net] {
-			continue // no failing transition launched on this block
-		}
-		st.begin()
-		st.mark(f.Net, forced)
-		st.schedule(c, f.Net)
-		fs.sim.propagate(st, gv)
-		mask := b.Mask()
-		var anyErr uint64
-		for _, ci := range cone.Cells {
-			d := c.Nets[c.DFFs[ci]].Fanin[0]
-			if st.dirtyAt[d] != st.epoch {
-				continue
-			}
-			nv := st.dirtyVal[d]
-			bad.Next[ci] = nv
-			if diff := (nv ^ gv[d]) & mask; diff != 0 {
-				res.FailingCells.Add(ci)
-				anyErr |= diff
-			}
-		}
-		res.DetectingPatterns += bits.OnesCount64(anyErr)
-		for _, pi := range cone.POs {
-			p := c.Outputs[pi]
-			if st.dirtyAt[p] != st.epoch {
-				continue
-			}
-			nv := st.dirtyVal[p]
-			bad.PO[pi] = nv
-			if (nv^gv[p])&mask != 0 {
-				poSeen = true
-			}
-		}
-	}
-	res.POOnly = poSeen && res.FailingCells.Empty()
-	return res
-}
-
 // RunTransitionReference simulates a transition fault with two full-pass
-// two-cycle runs per block — the oracle RunTransition is pinned against.
+// two-cycle runs per block — the oracle the batched transition path
+// (PlanTransitionBatches + RunPlan) is pinned against.
 func (fs *FaultSim) RunTransitionReference(f TransitionFault) *Result {
 	c := fs.sim.c
 	res := &Result{
@@ -234,7 +171,8 @@ func (fs *FaultSim) RunTransitionReference(f TransitionFault) *Result {
 
 // TwoCycleGood returns the fault-free two-cycle responses per block, the
 // reference stream for transition-fault diagnosis. The responses are the
-// memoized cache shared with RunTransition; callers must not modify them.
+// memoized cache shared with the batch kernel; callers must not modify
+// them.
 func (fs *FaultSim) TwoCycleGood() []*Response {
 	return fs.twoCycle().good
 }

@@ -84,7 +84,7 @@ func TestTransitionWithinStuckAtCone(t *testing.T) {
 	count := 0
 	for id := 0; id < c.NumNets() && count < 60; id += 7 {
 		f := TransitionFault{Net: circuit.NetID(id), SlowToRise: id%2 == 0}
-		res := fs.RunTransition(f)
+		res := fs.RunTransitionReference(f)
 		if !res.Detected() {
 			continue
 		}
